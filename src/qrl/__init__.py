@@ -12,7 +12,6 @@ from .agent import (
     AlgorithmParams,
     IterationRecord,
     init_agent,
-    random_rotation,
     run_realization,
     step,
 )
@@ -28,11 +27,8 @@ from .channels import (
 from .ensemble import (
     EnsembleConfig,
     EnsembleStats,
-    SweepOutcome,
-    dual_basis_fidelities,
     mix_seed,
     run_ensemble,
-    sweep,
 )
 from .linalg import (
     axis_rotation,
@@ -56,13 +52,11 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleStats",
     "IterationRecord",
-    "SweepOutcome",
     "apply_channel",
     "axis_rotation",
     "conjugate",
     "default_energy_basis",
     "density_from_pure",
-    "dual_basis_fidelities",
     "emit_csv",
     "emit_svg",
     "hamiltonian_unitary",
@@ -75,10 +69,8 @@ __all__ = [
     "mix_seed",
     "overlap_magnitude",
     "pauli",
-    "random_rotation",
     "read_csv",
     "run_ensemble",
     "run_realization",
     "step",
-    "sweep",
 ]

@@ -49,8 +49,8 @@ class AlgorithmParams:
             raise ValueError(f"reward_rate must be in (0, 1), got {self.reward_rate}")
         if not self.punish_rate > 1.0:
             raise ValueError(f"punish_rate must be > 1, got {self.punish_rate}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.basis_bit not in (0, 1):
             raise ValueError(f"basis_bit must be 0 or 1, got {self.basis_bit}")
 
@@ -89,20 +89,6 @@ class IterationRecord:
 def init_agent() -> AgentState:
     """Fresh agent: identity transform, exploration parameter 1, step 0."""
     return AgentState()
-
-
-def random_rotation(transform: np.ndarray, w: float, rng: np.random.Generator) -> np.ndarray:
-    """Random exploration rotation conjugated into the agent's frame.
-
-    Draws alpha, beta, gamma uniformly on [-w*pi, w*pi] (in that order)
-    and returns
-    transform @ Ry(beta) @ Rz(gamma) @ Rx(alpha) @ transform^dag.
-    At w = 0 this is the identity.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"exploration parameter must be in [0, 1], got {w}")
-    kick = _exploration_kick(w, rng)
-    return transform @ kick @ transform.conj().T
 
 
 def _exploration_kick(w: float, rng: np.random.Generator) -> np.ndarray:

@@ -6,24 +6,30 @@ Subcommands:
 * ``qrl sweep --config FILE``  many cells from a key = value config file
 * ``qrl plot --csv FILE...``   line chart of a CSV column across files
 
-Exit codes: 0 success, 1 runtime or I/O error, 2 usage error.
+Exit codes: 0 success, 1 runtime or I/O error, 2 usage error. The
+``--seed`` range is [0, 2^64). Output destinations are checked before any
+cell computes.
 
 The sweep config file holds flat ``key = value`` lines with the same keys
 as the run flags; blank lines separate run blocks and ``#`` starts a
-comment. Every block needs an ``out`` path for its CSV.
+comment. Every block needs an ``out`` path for its CSV, and two blocks
+naming the same output file is a usage error. A block that fails to
+compute or write is reported and does not stop the others.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import AlgorithmParams
 from .channels import Channel
-from .ensemble import EnsembleConfig, run_ensemble, sweep
+from .ensemble import EnsembleConfig, run_ensemble
 from .output import emit_csv, emit_svg, read_csv
 
 _NOISE_CHOICES = ("none", "pdn", "adn")
@@ -34,66 +40,21 @@ class SweepFormatError(ValueError):
     """Malformed sweep configuration content."""
 
 
-def _evolution_time(text: str) -> float:
+def _number(text: str) -> float:
+    """A float, or the token ``2pi`` expanded to full double precision."""
     if text.strip() == "2pi":
         return 2.0 * math.pi
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid evolution time {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError("evolution time must be positive and finite")
-    return value
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
 
 
-def _decoherence_time(text: str) -> float:
+def _integer(text: str) -> int:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid decoherence time {text!r}") from None
-    if math.isnan(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError("decoherence time must be positive (or 'inf')")
-    return value
-
-
-def _reward_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid reward rate {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("reward rate must be in (0, 1)")
-    return value
-
-
-def _punish_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid punishment rate {text!r}") from None
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError("punishment rate must be > 1")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be >= 0")
-    return value
 
 
 def _noise(text: str) -> str:
@@ -161,16 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one ensemble and write CSV")
     run.add_argument("--noise", type=_noise, default="none", help="none, pdn or adn")
-    run.add_argument("--ttau", type=_evolution_time, default=1.0,
+    run.add_argument("--ttau", type=_number, default=1.0,
                      help="dimensionless evolution time; the token 2pi is accepted")
-    run.add_argument("--tdec", type=_decoherence_time, default=math.inf,
+    run.add_argument("--tdec", type=_number, default=math.inf,
                      help="dimensionless decoherence time, or inf")
-    run.add_argument("--reward", type=_reward_rate, default=0.9, help="reward rate in (0, 1)")
-    run.add_argument("--punish", type=_punish_rate, default=1.5, help="punishment rate > 1")
-    run.add_argument("--iters", type=_positive_int, default=500, help="iterations per realization")
-    run.add_argument("--realizations", type=_positive_int, default=1000,
+    run.add_argument("--reward", type=_number, default=0.9, help="reward rate in (0, 1)")
+    run.add_argument("--punish", type=_number, default=1.5, help="punishment rate > 1")
+    run.add_argument("--iters", type=_integer, default=500, help="iterations per realization")
+    run.add_argument("--realizations", type=_integer, default=1000,
                      help="number of Monte Carlo realizations")
-    run.add_argument("--seed", type=_seed, default=0, help="64-bit master seed")
+    run.add_argument("--seed", type=_integer, default=0, help="master seed in [0, 2^64)")
     run.add_argument("--dual-basis", action="store_true",
                      help="also record fidelities of the flipped-bit preparation")
     run.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
@@ -190,13 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> RunSpec | SweepSpec | PlotSpec:
     """Parse CLI arguments into a command spec (exits with code 2 on usage errors)."""
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     if ns.command == "run":
-        return RunSpec(
+        spec = RunSpec(
             noise=ns.noise, ttau=ns.ttau, tdec=ns.tdec, reward=ns.reward, punish=ns.punish,
             iters=ns.iters, realizations=ns.realizations, seed=ns.seed,
             dual_basis=ns.dual_basis, out=ns.out, svg=ns.svg,
         )
+        try:
+            spec.to_config()
+        except ValueError as exc:
+            parser.error(f"run: {exc}")
+        return spec
     if ns.command == "sweep":
         return SweepSpec(config=ns.config, out_dir=ns.out_dir)
     return PlotSpec(csv=list(ns.csv), out=ns.out, column=ns.column)
@@ -204,13 +171,13 @@ def parse_args(argv=None) -> RunSpec | SweepSpec | PlotSpec:
 
 _SWEEP_CONVERTERS = {
     "noise": _noise,
-    "ttau": _evolution_time,
-    "tdec": _decoherence_time,
-    "reward": _reward_rate,
-    "punish": _punish_rate,
-    "iters": _positive_int,
-    "realizations": _positive_int,
-    "seed": _seed,
+    "ttau": _number,
+    "tdec": _number,
+    "reward": _number,
+    "punish": _number,
+    "iters": _integer,
+    "realizations": _integer,
+    "seed": _integer,
     "dual_basis": _flag,
     "out": str,
     "svg": str,
@@ -218,7 +185,7 @@ _SWEEP_CONVERTERS = {
 
 
 def parse_sweep_text(text: str) -> list[RunSpec]:
-    """Parse sweep config content into run specs, one per blank-separated block."""
+    """Parse and validate sweep config content into run specs, one per block."""
     blocks: list[dict] = []
     current: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -245,59 +212,61 @@ def parse_sweep_text(text: str) -> list[RunSpec]:
         blocks.append(current)
     if not blocks:
         raise SweepFormatError("no run blocks found")
-    return [RunSpec(**block) for block in blocks]
+    specs = [RunSpec(**block) for block in blocks]
+    writers: dict[str, int] = {}
+    for i, spec in enumerate(specs, start=1):
+        try:
+            spec.to_config()
+        except ValueError as exc:
+            raise SweepFormatError(f"block {i}: {exc}") from None
+        if spec.out is None:
+            raise SweepFormatError(f"block {i}: missing 'out' path")
+        for path in filter(None, (spec.out, spec.svg)):
+            first = writers.setdefault(os.path.normpath(path), i)
+            if first != i:
+                raise SweepFormatError(f"blocks {first} and {i} both write {path!r}")
+    return specs
 
 
-def format_sweep(specs: list[RunSpec]) -> str:
-    """Serialize run specs back into sweep config text (parse round-trips)."""
-    blocks = []
-    for spec in specs:
-        lines = []
-        for field in fields(RunSpec):
-            value = getattr(spec, field.name)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = "inf" if math.isinf(value) else repr(value)
-            lines.append(f"{field.name} = {value}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+def _check_destination(path: Path) -> None:
+    """Raise OSError unless ``path`` is a non-directory inside an existing directory."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path.parent))
+
+
+def _run_cell(spec: RunSpec, base: Path) -> None:
+    """Check the destinations under ``base``, then compute one cell and write it."""
+    out = None if spec.out is None else base / spec.out
+    svg = None if spec.svg is None else base / spec.svg
+    for path in (out, svg):
+        if path is not None:
+            _check_destination(path)
+    stats = run_ensemble(spec.to_config())
+    emit_csv(stats, sys.stdout if out is None else out)
+    if svg is not None:
+        k = range(1, stats.iterations + 1)
+        emit_svg([(spec.label(), list(k), stats.f_max)], svg, y_label="F_max")
 
 
 def _cmd_run(spec: RunSpec) -> int:
-    stats = run_ensemble(spec.to_config())
-    emit_csv(stats, spec.out if spec.out is not None else sys.stdout)
-    if spec.svg is not None:
-        k = range(1, stats.iterations + 1)
-        emit_svg([(spec.label(), list(k), stats.f_max)], spec.svg, y_label="F_max")
+    _run_cell(spec, Path("."))
     return 0
 
 
 def _cmd_sweep(spec: SweepSpec) -> int:
-    text = Path(spec.config).read_text(encoding="utf-8")
-    runs = parse_sweep_text(text)
-    for i, run in enumerate(runs, start=1):
-        if run.out is None:
-            raise SweepFormatError(f"block {i}: missing 'out' path")
+    runs = parse_sweep_text(Path(spec.config).read_text(encoding="utf-8"))
+    base = Path(spec.out_dir or ".")
+    base.mkdir(parents=True, exist_ok=True)
 
-    base = Path(spec.out_dir) if spec.out_dir is not None else Path(".")
-    if spec.out_dir is not None:
-        base.mkdir(parents=True, exist_ok=True)
-
-    outcomes = sweep([run.to_config() for run in runs])
     failures = 0
-    for run, outcome in zip(runs, outcomes):
-        if outcome.error is not None:
+    for i, run in enumerate(runs, start=1):
+        try:
+            _run_cell(run, base)
+        except Exception as exc:  # one failed block, compute or write, must not stop the rest
             failures += 1
-            print(f"qrl: sweep block {run.out!r} failed: {outcome.error}", file=sys.stderr)
-            continue
-        emit_csv(outcome.stats, base / run.out)
-        if run.svg is not None:
-            k = range(1, outcome.stats.iterations + 1)
-            emit_svg([(run.label(), list(k), outcome.stats.f_max)], base / run.svg,
-                     y_label="F_max")
+            print(f"qrl: sweep block {i} ({run.out!r}) failed: {exc}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -20,8 +20,7 @@ from functools import partial
 import numpy as np
 
 from .agent import AlgorithmParams, run_realization
-from .channels import Channel, EnergyBasis
-from .linalg import overlap_magnitude
+from .channels import Channel
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -48,7 +47,7 @@ def mix_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleConfig:
-    """One ensemble cell: channel, learning parameters, size and seeding."""
+    """One ensemble cell: channel, learning parameters, size and a seed in [0, 2**64)."""
 
     channel: Channel
     params: AlgorithmParams = field(default_factory=AlgorithmParams)
@@ -59,6 +58,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass
@@ -201,43 +202,3 @@ def _reduce(moments: list[_RunningMoments], results) -> None:
         moments[3].add(np.maximum(f_e, f_g))
         for extra, values in zip(moments[4:], arrays[3:]):
             extra.add(values)
-
-
-def dual_basis_fidelities(transform: np.ndarray, basis: EnergyBasis) -> tuple[float, float]:
-    """Fidelities of the state prepared from |1> instead of |0>.
-
-    Returns (|<e|U|1>|, |<g|U|1>|); because U is unitary these complement
-    the bit-0 fidelities through f_b0^2 + f_b1^2 = 1 per target state.
-    """
-    return (
-        overlap_magnitude(basis.excited, transform, 1),
-        overlap_magnitude(basis.ground, transform, 1),
-    )
-
-
-@dataclass
-class SweepOutcome:
-    """Result slot of one sweep entry: stats on success, error otherwise."""
-
-    config: EnsembleConfig
-    stats: EnsembleStats | None = None
-    error: Exception | None = None
-
-
-def sweep(grid: list[EnsembleConfig]) -> list[SweepOutcome]:
-    """Run every configuration of a grid, collecting per-cell failures.
-
-    Output order matches input order; a failing cell records its
-    exception without aborting the remaining cells.
-    """
-    if not grid:
-        raise ValueError("sweep grid must not be empty")
-    outcomes = []
-    for cfg in grid:
-        outcome = SweepOutcome(config=cfg)
-        try:
-            outcome.stats = run_ensemble(cfg)
-        except Exception as exc:  # any cell failure must not abort the rest
-            outcome.error = exc
-        outcomes.append(outcome)
-    return outcomes

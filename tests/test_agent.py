@@ -8,7 +8,6 @@ from qrl.agent import (
     AgentState,
     AlgorithmParams,
     init_agent,
-    random_rotation,
     run_realization,
     step,
 )
@@ -37,15 +36,29 @@ GOLDEN_ROTATION = np.array(
 
 
 class StubRng:
-    """Scripted uniform() source that records every requested interval."""
+    """Scripted uniform() source that records every requested interval.
 
-    def __init__(self, values):
+    Once the script runs out, draws come from the generator ``then``.
+    """
+
+    def __init__(self, values, then=None):
         self.values = list(values)
+        self.then = then
         self.calls = []
 
     def uniform(self, low, high):
         self.calls.append((low, high))
-        return self.values.pop(0)
+        if self.values:
+            return self.values.pop(0)
+        return self.then.uniform(low, high)
+
+
+def punished_transform(transform, w, rng):
+    """Transform after one step whose measurement draw ``rng`` scripts as 1.0, a punishment."""
+    state = AgentState(transform=transform, w=w, k=0)
+    new_state, record = step(state, Channel(kind="noiseless", tau=1.0), AlgorithmParams(), rng)
+    assert record.outcome == 1
+    return new_state.transform
 
 
 class TestAlgorithmParams:
@@ -88,36 +101,36 @@ class TestInitAgent:
 
 
 class TestRandomRotation:
+    # A punished step right-multiplies the transform T by the kick, which
+    # equals conjugating the kick into T's frame and applying it on the left.
     def test_zero_exploration_is_identity(self):
-        rotation = random_rotation(GOLDEN_FRAME, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(rotation, IDENTITY, atol=1e-12)
+        kicked = punished_transform(GOLDEN_FRAME, 0.0, StubRng([1.0], np.random.default_rng(0)))
+        np.testing.assert_allclose(kicked, GOLDEN_FRAME, atol=1e-12)
 
     def test_golden_value(self):
-        rotation = random_rotation(GOLDEN_FRAME, 1.0, np.random.default_rng(GOLDEN_SEED))
-        np.testing.assert_allclose(rotation, GOLDEN_ROTATION, atol=1e-12)
+        stub = StubRng([1.0], np.random.default_rng(GOLDEN_SEED))
+        kicked = punished_transform(GOLDEN_FRAME, 1.0, stub)
+        np.testing.assert_allclose(kicked, GOLDEN_ROTATION @ GOLDEN_FRAME, atol=1e-12)
 
     def test_always_unitary(self):
         rng = np.random.default_rng(50)
         for w in (0.05, 0.3, 1.0):
             for _ in range(10):
-                assert is_unitary(random_rotation(GOLDEN_FRAME, w, rng), atol=1e-12)
+                kicked = punished_transform(GOLDEN_FRAME, w, StubRng([1.0], rng))
+                assert is_unitary(kicked, atol=1e-12)
 
     def test_draw_to_axis_assignment(self):
-        # First draw rotates about X, second about Y, third about Z,
+        # First angle draw rotates about X, second about Y, third about Z,
         # multiplied as Ry Rz Rx; oracle from the matrix exponential.
-        stub = StubRng([0.3, -0.7, 1.1])
-        rotation = random_rotation(IDENTITY.copy(), 1.0, stub)
+        stub = StubRng([1.0, 0.3, -0.7, 1.1])
+        kicked = punished_transform(GOLDEN_FRAME, 1.0, stub)
         oracle = (
             expm(-0.5j * -0.7 * pauli("Y"))
             @ expm(-0.5j * 1.1 * pauli("Z"))
             @ expm(-0.5j * 0.3 * pauli("X"))
         )
-        np.testing.assert_allclose(rotation, oracle, atol=1e-13)
-        assert stub.calls == [(-math.pi, math.pi)] * 3
-
-    def test_rejects_out_of_range_w(self):
-        with pytest.raises(ValueError, match="exploration"):
-            random_rotation(IDENTITY, 1.5, np.random.default_rng(0))
+        np.testing.assert_allclose(kicked, GOLDEN_FRAME @ oracle, atol=1e-13)
+        assert stub.calls == [(0.0, 1.0)] + [(-math.pi, math.pi)] * 3
 
 
 class TestStep:
@@ -176,8 +189,8 @@ class TestStep:
 
 class TestRunRealization:
     def test_zero_iterations(self):
-        channel = Channel(kind="pdn", tau=1.0, t_dec=1.0)
-        assert run_realization(channel, AlgorithmParams(iterations=0), seed=1) == []
+        with pytest.raises(ValueError, match="iterations"):
+            AlgorithmParams(iterations=0)
 
     def test_deterministic_for_equal_seeds(self):
         channel = Channel(kind="adn", tau=1.0, t_dec=1.0)

@@ -7,14 +7,28 @@ from qrl.cli import (
     PlotSpec,
     RunSpec,
     SweepSpec,
-    format_sweep,
     main,
     parse_args,
     parse_sweep_text,
     SweepFormatError,
 )
+from qrl.ensemble import run_ensemble
 
 FIGS_DIR = Path(__file__).resolve().parent.parent / "figs"
+
+
+def must_not_compute(cfg):
+    pytest.fail("a cell was computed")
+
+
+def write_sweep(tmp_path, blocks):
+    """Write a sweep config of small adn cells, block ``i`` seeded ``i`` with extra lines."""
+    config = tmp_path / "grid.sweep"
+    config.write_text("\n".join(
+        f"noise = adn\nttau = 1\ntdec = 1\niters = 10\nrealizations = 3\nseed = {i}\n{extra}\n"
+        for i, extra in enumerate(blocks, start=1)
+    ))
+    return config
 
 
 class TestParseArgs:
@@ -61,6 +75,7 @@ class TestParseArgs:
             ["run", "--noise", "depolarizing"],
             ["run", "--no-such-flag"],
             ["frobnicate"],
+            ["run", "--seed", str(2**64)],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -68,6 +83,9 @@ class TestParseArgs:
             parse_args(argv)
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.strip()
+
+    def test_accepts_largest_seed(self):
+        assert parse_args(["run", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
 
     def test_sweep_and_plot_specs(self):
         assert parse_args(["sweep", "--config", "f.sweep"]) == SweepSpec(config="f.sweep")
@@ -105,7 +123,9 @@ class TestSweepText:
             ("noise adn", "expected 'key = value'"),
             ("frequency = 3", "unknown key"),
             ("noise = adn\nnoise = pdn", "duplicate key"),
-            ("reward = 2", "reward rate"),
+            ("reward = 2", "reward_rate"),
+            ("seed = 18446744073709551616\nout = a.csv", "master_seed"),
+            ("out = a.csv\n\nout = ./a.csv", "blocks 1 and 2 both write"),
             ("dual_basis = perhaps", "boolean"),
             ("# only a comment", "no run blocks"),
         ],
@@ -115,12 +135,17 @@ class TestSweepText:
             parse_sweep_text(content)
 
     def test_round_trip(self):
-        specs = [
-            RunSpec(noise="adn", ttau=2 * math.pi, tdec=10.0, seed=5, out="x.csv"),
-            RunSpec(noise="pdn", ttau=1.0, tdec=1.0, reward=0.75, punish=2.0,
-                    iters=50, realizations=20, dual_basis=True, out="y.csv", svg="y.svg"),
+        text = (
+            "noise = adn\nttau = 2pi\ntdec = 10\nreward = 0.75\npunish = 2\niters = 50\n"
+            "realizations = 20\nseed = 5\ndual_basis = true\nout = x.csv\nsvg = x.svg\n"
+            "\n"
+            "noise = pdn\nttau = 1.5\nout = y.csv\n"
+        )
+        assert parse_sweep_text(text) == [
+            RunSpec(noise="adn", ttau=2 * math.pi, tdec=10.0, reward=0.75, punish=2.0, iters=50,
+                    realizations=20, seed=5, dual_basis=True, out="x.csv", svg="x.svg"),
+            RunSpec(noise="pdn", ttau=1.5, out="y.csv"),
         ]
-        assert parse_sweep_text(format_sweep(specs)) == specs
 
 
 class TestRunCommand:
@@ -163,6 +188,13 @@ class TestRunCommand:
         assert main(["run", "--iters", "2", "--realizations", "2", "--out", str(target)]) == 1
         assert "qrl:" in capsys.readouterr().err
 
+    def test_unwritable_destination_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        assert main(["run", "--out", str(tmp_path / "missing-dir" / "x.csv")]) == 1
+        assert main(["run", "--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.count("qrl:") == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSweepCommand:
     def test_runs_all_blocks(self, tmp_path):
@@ -178,6 +210,56 @@ class TestSweepCommand:
         again = tmp_path / "again"
         assert main(["sweep", "--config", str(config), "--out-dir", str(again)]) == 0
         assert (again / "one.csv").read_bytes() == (out_dir / "one.csv").read_bytes()
+
+    def test_block_matches_run_command(self, tmp_path):
+        config = write_sweep(tmp_path, ["out = block.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        assert main(["run", "--noise", "adn", "--ttau", "1", "--tdec", "1", "--iters", "10",
+                     "--realizations", "3", "--seed", "1", "--out", str(tmp_path / "run.csv")]) == 0
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+    def test_preserves_order_and_reproduces(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def recording(cfg):
+            seeds.append(cfg.master_seed)
+            return run_ensemble(cfg)
+
+        monkeypatch.setattr("qrl.cli.run_ensemble", recording)
+        config = write_sweep(tmp_path, ["out = b1.csv", "out = b2.csv", "out = b3.csv"])
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(first)]) == 0
+        assert main(["sweep", "--config", str(config), "--out-dir", str(second)]) == 0
+        assert seeds == [1, 2, 3, 1, 2, 3]
+        for name in ("b1.csv", "b2.csv", "b3.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (first / "b1.csv").read_bytes() != (first / "b2.csv").read_bytes()
+
+    def test_failed_compute_does_not_stop_other_blocks(self, tmp_path, monkeypatch, capsys):
+        def fail_second(cfg):
+            if cfg.master_seed == 2:
+                raise RuntimeError("synthetic cell failure")
+            return run_ensemble(cfg)
+
+        monkeypatch.setattr("qrl.cli.run_ensemble", fail_second)
+        config = write_sweep(tmp_path, ["out = b1.csv", "out = b2.csv", "out = b3.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "block 2 ('b2.csv') failed: synthetic cell failure" in err
+        assert [(tmp_path / f"b{i}.csv").exists() for i in (1, 2, 3)] == [True, False, True]
+
+    def test_failed_write_does_not_stop_other_blocks(self, tmp_path, capsys):
+        (tmp_path / "b2.csv").mkdir()
+        config = write_sweep(tmp_path, ["out = b1.csv", "out = b2.csv", "out = b3.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 1
+        assert "block 2 ('b2.csv') failed" in capsys.readouterr().err
+        assert (tmp_path / "b1.csv").is_file() and (tmp_path / "b3.csv").is_file()
+
+    def test_duplicate_outputs_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        config = write_sweep(tmp_path, ["out = a.csv\nsvg = f.svg", "out = b.csv\nsvg = f.svg"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert "blocks 1 and 2 both write 'f.svg'" in capsys.readouterr().err
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.sweep")]) == 1
