@@ -1,4 +1,4 @@
-"""Single-realization reinforcement-learning loop.
+"""The reinforcement-learning loop: a lockstep engine and its scalar oracle.
 
 The agent owns a unitary ``transform`` (the accumulated preparation
 operator) and an exploration parameter ``w``. Each iteration prepares
@@ -15,6 +15,10 @@ documented order so that seeded runs are reproducible: one uniform on
 [0, 1] for the measurement, then, only on punishment, the three angles
 alpha (X), beta (Y), gamma (Z) in that order, each uniform on
 [-w*pi, w*pi] with the pre-update w.
+
+``run_lockstep``, the engine of the ensemble, advances many realizations
+as (n, 2, 2) stacks; ``step`` and ``run_realization`` are the scalar
+reference it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -91,12 +95,8 @@ def init_agent() -> AgentState:
     return AgentState()
 
 
-def _exploration_kick(w: float, rng: np.random.Generator) -> np.ndarray:
-    """Ry(beta) Rz(gamma) Rx(alpha) with angles drawn alpha, beta, gamma."""
-    half_width = w * math.pi
-    alpha = rng.uniform(-half_width, half_width)
-    beta = rng.uniform(-half_width, half_width)
-    gamma = rng.uniform(-half_width, half_width)
+def _rotation(alpha, beta, gamma) -> np.ndarray:
+    """Kick Ry(beta) Rz(gamma) Rx(alpha); arrays of angles give a stack of kicks."""
     return axis_rotation("Y", beta) @ axis_rotation("Z", gamma) @ axis_rotation("X", alpha)
 
 
@@ -123,8 +123,10 @@ def step(
     else:
         outcome = 1
         w_next = min(params.punish_rate * state.w, 1.0)
-        # Angle interval uses the pre-update w.
-        transform_next = state.transform @ _exploration_kick(state.w, rng)
+        # Angles alpha, beta, gamma, drawn in that order from the pre-update interval.
+        half_width = state.w * math.pi
+        alpha, beta, gamma = (rng.uniform(-half_width, half_width) for _ in range(3))
+        transform_next = state.transform @ _rotation(alpha, beta, gamma)
 
     basis = channel.basis
     f_e = overlap_magnitude(basis.excited, transform_next, params.basis_bit)
@@ -165,3 +167,47 @@ def run_realization(
             record.f_g_b1 = overlap_magnitude(channel.basis.ground, state.transform, flipped)
         records.append(record)
     return records
+
+
+def run_lockstep(
+    channel: Channel, params: AlgorithmParams, seeds: list[int], *, dual_basis: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one realization per seed, all advanced together step by step.
+
+    Each realization's at most ``4 * iterations`` uniforms are drawn up
+    front; its cursor reads them in the frozen order of ``step``, and the
+    angles repeat ``Generator.uniform(lo, hi) = lo + (hi - lo) * u``.
+    Returns (iterations, columns, n) trajectories of w, f_e, f_g, f_max
+    [, f_e_b1, f_g_b1], equal bit for bit to ``run_realization`` for each
+    seed, and the draws each realization used: iterations + 3 * punishments.
+    """
+    n = len(seeds)
+    draws = np.empty((n, 4 * params.iterations))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).random(out=row)
+    cursor = np.zeros(n, dtype=np.intp)
+    realizations = np.arange(n)
+    transform = np.repeat(IDENTITY[None], n, axis=0)
+    w = np.ones(n)
+    excited, ground = channel.basis.excited, channel.basis.ground
+    bit, flipped = params.basis_bit, 1 - params.basis_bit
+    trajectories = np.empty((params.iterations, 6 if dual_basis else 4, n))
+    for k in range(params.iterations):
+        p_zero = measurement_prob_zero(channel, density_from_pure(transform[:, :, bit]))
+        punished = draws[realizations, cursor] > p_zero
+        cursor += 1
+        kicked = np.flatnonzero(punished)
+        if kicked.size:
+            half_width = w[kicked] * math.pi
+            at = cursor[kicked] + np.arange(3)[:, None]  # rows alpha, beta, gamma
+            angles = -half_width + (half_width + half_width) * draws[kicked, at]
+            transform[kicked] = transform[kicked] @ _rotation(*angles)
+            cursor[kicked] += 3
+        w = np.where(punished, np.minimum(params.punish_rate * w, 1.0), params.reward_rate * w)
+        f_e = overlap_magnitude(excited, transform, bit)
+        f_g = overlap_magnitude(ground, transform, bit)
+        trajectories[k, :4] = w, f_e, f_g, np.maximum(f_e, f_g)
+        if dual_basis:
+            trajectories[k, 4] = overlap_magnitude(excited, transform, flipped)
+            trajectories[k, 5] = overlap_magnitude(ground, transform, flipped)
+    return trajectories, cursor

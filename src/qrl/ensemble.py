@@ -2,28 +2,27 @@
 
 Realization ``i`` of an ensemble runs with its own derived seed
 ``mix_seed(master_seed, i)`` so any single realization can be reproduced
-in isolation. Aggregation is streaming: per-iteration running means and
-scatter are updated realization by realization, always in realization
-index order, so the result is bit-identical no matter how many worker
-processes produced the raw trajectories. The worker count is taken from
-the ``QRL_THREADS`` environment variable (0 or unset means one worker
-per CPU).
+in isolation. The realizations run in one process, in chunks that the
+lockstep engine ``run_lockstep`` advances together. Aggregation is
+streaming: per-iteration running means and scatter are updated
+realization by realization, always in realization index order, so the
+result is bit-identical for any chunk size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .agent import AlgorithmParams, run_realization
+from .agent import AlgorithmParams, run_lockstep
 from .channels import Channel
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Bytes of draw and trajectory buffers per chunk of realizations. It
+# bounds peak memory; the chunk size never changes the output.
+_CHUNK_BYTES = 1 << 20
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -119,86 +118,25 @@ class _RunningMoments:
         return np.sqrt(variance / self.count)
 
 
-def _realization_arrays(cfg: EnsembleConfig, index: int) -> tuple[np.ndarray, ...]:
-    """Raw per-iteration trajectories of realization ``index``."""
-    records = run_realization(
-        cfg.channel, cfg.params, mix_seed(cfg.master_seed, index), dual_basis=cfg.dual_basis
-    )
-    n = len(records)
-    w = np.fromiter((r.w for r in records), dtype=float, count=n)
-    f_e = np.fromiter((r.f_e for r in records), dtype=float, count=n)
-    f_g = np.fromiter((r.f_g for r in records), dtype=float, count=n)
-    if not cfg.dual_basis:
-        return w, f_e, f_g
-    f_e_b1 = np.fromiter((r.f_e_b1 for r in records), dtype=float, count=n)
-    f_g_b1 = np.fromiter((r.f_g_b1 for r in records), dtype=float, count=n)
-    return w, f_e, f_g, f_e_b1, f_g_b1
-
-
-def worker_count(n_tasks: int) -> int:
-    """Worker processes to use, honoring the QRL_THREADS environment variable."""
-    raw = os.environ.get("QRL_THREADS", "0").strip() or "0"
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"QRL_THREADS must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise ValueError(f"QRL_THREADS must be >= 0, got {requested}")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_tasks))
-
-
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Run all realizations of a cell and aggregate their statistics.
 
     The output depends only on the configuration (including
-    ``master_seed``), never on the worker count or completion order.
+    ``master_seed``), never on how the realizations are chunked.
     """
     n = cfg.n_realizations
     length = cfg.params.iterations
-    n_columns = 5 if cfg.dual_basis else 3
-    moments = [_RunningMoments(length) for _ in range(n_columns + 1)]  # + f_max
+    n_columns = 6 if cfg.dual_basis else 4
+    moments = [_RunningMoments(length) for _ in range(n_columns)]
+    chunk = max(1, _CHUNK_BYTES // (8 * length * (4 + n_columns)))
+    for start in range(0, n, chunk):
+        seeds = [mix_seed(cfg.master_seed, i) for i in range(start, min(start + chunk, n))]
+        trajectories, _ = run_lockstep(cfg.channel, cfg.params, seeds, dual_basis=cfg.dual_basis)
+        for realization in trajectories.transpose(2, 1, 0):  # in index order
+            for column, values in zip(moments, realization):
+                column.add(values)
 
-    workers = worker_count(n)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, n // (workers * 8))
-            results = pool.map(partial(_realization_arrays, cfg), range(n), chunksize=chunksize)
-            _reduce(moments, results)
-    else:
-        _reduce(moments, (_realization_arrays(cfg, i) for i in range(n)))
-
-    stats = EnsembleStats(
-        n_realizations=n,
-        w=moments[0].mean,
-        f_e=moments[1].mean,
-        f_g=moments[2].mean,
-        f_max=moments[3].mean,
-        se_w=moments[0].standard_error(),
-        se_f_e=moments[1].standard_error(),
-        se_f_g=moments[2].standard_error(),
-        se_f_max=moments[3].standard_error(),
-    )
-    if cfg.dual_basis:
-        stats.f_e_b1 = moments[4].mean
-        stats.f_g_b1 = moments[5].mean
-        stats.se_f_e_b1 = moments[4].standard_error()
-        stats.se_f_g_b1 = moments[5].standard_error()
-    return stats
-
-
-def _reduce(moments: list[_RunningMoments], results) -> None:
-    """Fold raw trajectories into the running moments, in arrival order.
-
-    ``results`` must yield realizations in index order (both the serial
-    generator and ``ProcessPoolExecutor.map`` guarantee that).
-    """
-    for arrays in results:
-        w, f_e, f_g = arrays[0], arrays[1], arrays[2]
-        moments[0].add(w)
-        moments[1].add(f_e)
-        moments[2].add(f_g)
-        moments[3].add(np.maximum(f_e, f_g))
-        for extra, values in zip(moments[4:], arrays[3:]):
-            extra.add(values)
+    # EnsembleStats field order: means, then errors, of w, f_e, f_g, f_max; then of the *_b1 pair.
+    fields = [m.mean for m in moments[:4]] + [m.standard_error() for m in moments[:4]]
+    fields += [m.mean for m in moments[4:]] + [m.standard_error() for m in moments[4:]]
+    return EnsembleStats(n, *fields)

@@ -3,7 +3,8 @@
 Everything here works on plain numpy values: pure states are unit-norm
 complex vectors of shape (2,), density matrices and unitaries are complex
 arrays of shape (2, 2), all in the computational basis. Functions never
-mutate their inputs and always return fresh arrays.
+mutate their inputs and always return fresh arrays. Stacks with leading
+axes, e.g. (n, 2, 2), get the same bits per element as single calls.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ def pauli(axis: str) -> np.ndarray:
     return _pauli_ref(axis).copy()
 
 
-def axis_rotation(axis: str, angle: float) -> np.ndarray:
+def axis_rotation(axis: str, angle: float | np.ndarray) -> np.ndarray:
     """Rotation exp(-i*angle*P/2) about the given Pauli axis.
 
     Uses the closed form cos(angle/2)*I - i*sin(angle/2)*P, which is exact
-    for 2x2 Pauli generators.
+    for 2x2 Pauli generators. An array of angles gives a stack of shape
+    ``angle.shape + (2, 2)``.
     """
-    half = 0.5 * angle
+    half = 0.5 * np.asarray(angle)[..., None, None]
     return np.cos(half) * IDENTITY - 1j * np.sin(half) * _pauli_ref(axis)
 
 
@@ -56,16 +58,18 @@ def conjugate(unitary: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi| of a normalized pure state."""
+    """Rank-1 projector |psi><psi| of a normalized pure state (or a stack of them)."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit: int) -> float:
-    """|<target| U |b>| for a computational basis bit b in {0, 1}."""
+def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit: int) -> float | np.ndarray:
+    """|<target| U |b>| for a computational basis bit b in {0, 1}, per unitary of a stack."""
     if basis_bit not in (0, 1):
         raise ValueError(f"basis_bit must be 0 or 1, got {basis_bit}")
-    return float(abs(np.vdot(target, unitary[:, basis_bit])))
+    amplitude = np.vecdot(target, unitary[..., :, basis_bit])
+    # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.
+    return np.hypot(amplitude.real, amplitude.imag)
 
 
 def is_normalized(psi: np.ndarray, atol: float = ATOL) -> bool:

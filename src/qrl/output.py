@@ -62,6 +62,9 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, header has {len(header)}")
     columns: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         values = [row[j] for row in rows]

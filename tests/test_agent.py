@@ -8,6 +8,7 @@ from qrl.agent import (
     AgentState,
     AlgorithmParams,
     init_agent,
+    run_lockstep,
     run_realization,
     step,
 )
@@ -279,3 +280,33 @@ class TestRunRealization:
             zeros += record.outcome == 0
         stderr = math.sqrt(prob * (1 - prob) / draws)
         assert abs(zeros / draws - prob) < 3 * stderr
+
+
+class TestRunLockstep:
+    # The lockstep engine against the scalar oracle, realization by
+    # realization and bit for bit.
+    CASES = [
+        (Channel(kind="adn", tau=1.0, t_dec=1.0), AlgorithmParams(iterations=80), True),
+        (Channel(kind="pdn", tau=2 * math.pi, t_dec=3.0),
+         AlgorithmParams(reward_rate=0.7, punish_rate=2.5, iterations=60, basis_bit=1), True),
+        (Channel(kind="noiseless", tau=0.37),
+         AlgorithmParams(reward_rate=0.95, punish_rate=1.2, iterations=70, basis_bit=1), False),
+        (Channel(kind="adn", tau=5.0, t_dec=10.0), AlgorithmParams(iterations=50), False),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_run_realization(self, case):
+        channel, params, dual = self.CASES[case]
+        seeds = [1000 * case + i for i in range(13)]
+        trajectories, draws = run_lockstep(channel, params, seeds, dual_basis=dual)
+        assert trajectories.shape == (params.iterations, 6 if dual else 4, len(seeds))
+        names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
+        punished = 0
+        for j, seed in enumerate(seeds):
+            records = run_realization(channel, params, seed, dual_basis=dual)
+            for column, name in enumerate(names):
+                assert trajectories[:, column, j].tolist() == [getattr(r, name) for r in records]
+            punishments = sum(r.outcome for r in records)
+            assert draws[j] == params.iterations + 3 * punishments
+            punished += punishments > 0
+        assert punished > 0

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qrl.channels import (
+    NOISE_KINDS,
     Channel,
     EnergyBasis,
     apply_channel,
@@ -261,3 +264,37 @@ class TestMeasurementProbZero:
         channel = Channel(kind="pdn", tau=1.0, t_dec=1.0)
         with pytest.raises(ValueError, match="tolerance band"):
             measurement_prob_zero(channel, 2.0 * GROUND_PROJ)
+
+
+channels = st.builds(
+    Channel,
+    kind=st.sampled_from(NOISE_KINDS),
+    tau=st.floats(1e-6, 10.0) | st.just(2 * math.pi),
+    t_dec=st.floats(0.1, 100.0) | st.just(math.inf),
+)
+
+
+@st.composite
+def density_stacks(draw):
+    """An (N, 2, 2) stack of density matrices A A^dag / Tr(A A^dag)."""
+    n = draw(st.integers(1, 8))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * n, max_size=8 * n)))
+    a = parts[: 4 * n].reshape(n, 2, 2) + 1j * parts[4 * n :].reshape(n, 2, 2)
+    rho = a @ a.conj().transpose(0, 2, 1)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    assume(np.all(trace > 1e-6))
+    return rho / trace[:, None, None]
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(channel=channels, rho=density_stacks())
+    def test_stack_equals_single_calls(self, channel, rho):
+        evolved = apply_channel(channel, rho)
+        probs = measurement_prob_zero(channel, rho)
+        assert evolved.shape == rho.shape and probs.shape == rho.shape[:1]
+        for j, single in enumerate(rho):
+            assert evolved[j].tobytes() == apply_channel(channel, single).tobytes()
+            assert probs[j].tobytes() == np.float64(measurement_prob_zero(channel, single)).tobytes()
+            assert probs[j] == min(max(np.vdot(single, evolved[j]).real, 0.0), 1.0)
+            assert is_density_matrix(evolved[j], atol=1e-12)

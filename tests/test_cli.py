@@ -308,6 +308,14 @@ class TestPlotCommand:
                      str(tmp_path / "x.svg")])
         assert code == 1
 
+    def test_ragged_csv_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("k,W\n1,0.5\n2\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qrl: {bad}: line 3 has 1 fields, header has 2\n"
+        assert not out.exists()
+
 
 class TestCheckedInSweeps:
     def test_fig1_covers_the_grid(self):

@@ -5,7 +5,8 @@ import pytest
 
 from qrl.agent import AlgorithmParams, run_realization
 from qrl.channels import Channel, default_energy_basis
-from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble, worker_count
+from qrl import ensemble
+from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble
 from qrl.linalg import overlap_magnitude
 
 BASIS = default_energy_basis()
@@ -76,14 +77,19 @@ class TestRunEnsemble:
         assert stats.f_max.tolist() == [r.f_max for r in records]
         assert np.all(stats.se_w == 0.0)
 
-    def test_worker_count_does_not_change_bits(self, monkeypatch):
-        cfg = small_config(n=30, iters=50, seed=8)
-        monkeypatch.setenv("QRL_THREADS", "1")
-        serial = run_ensemble(cfg)
-        monkeypatch.setenv("QRL_THREADS", "2")
-        parallel = run_ensemble(cfg)
-        for name in ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max"):
-            np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
+    def test_chunk_size_does_not_change_bits(self, monkeypatch):
+        names = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
+                 "f_e_b1", "f_g_b1", "se_f_e_b1", "se_f_g_b1")
+        for dual, columns in ((False, 4), (True, 6)):
+            cfg = small_config(n=30, iters=50, seed=8, dual=dual)
+            whole = run_ensemble(cfg)  # one chunk
+            # Chunks of 1, 7 and 29 realizations; the last chunk of 7 and of 29 is partial.
+            for chunk in (1, 7, 29):
+                monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * 50 * (4 + columns))
+                chunked = run_ensemble(cfg)
+                for name in names:
+                    np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+            monkeypatch.undo()
 
     def test_means_and_errors_match_batch_formulas(self):
         # Streaming moments against plain numpy mean/std over the full
@@ -113,25 +119,6 @@ class TestRunEnsemble:
     def test_plain_run_has_no_dual_columns(self):
         stats = run_ensemble(small_config(n=5, iters=10))
         assert stats.f_e_b1 is None and stats.se_f_g_b1 is None
-
-
-class TestWorkerCount:
-    def test_auto_and_explicit(self, monkeypatch):
-        monkeypatch.delenv("QRL_THREADS", raising=False)
-        assert worker_count(1000) >= 1
-        monkeypatch.setenv("QRL_THREADS", "3")
-        assert worker_count(1000) == 3
-        assert worker_count(2) == 2  # capped by the task count
-        monkeypatch.setenv("QRL_THREADS", "0")
-        assert worker_count(1000) >= 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("QRL_THREADS", "many")
-        with pytest.raises(ValueError, match="QRL_THREADS"):
-            worker_count(10)
-        monkeypatch.setenv("QRL_THREADS", "-2")
-        with pytest.raises(ValueError, match="QRL_THREADS"):
-            worker_count(10)
 
 
 class TestDualBasisFidelities:

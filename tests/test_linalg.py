@@ -164,6 +164,17 @@ class TestOverlapMagnitude:
         with pytest.raises(ValueError, match="basis_bit"):
             overlap_magnitude(EXCITED, IDENTITY, 2)
 
+    def test_stack_keeps_scalar_modulus_bits(self):
+        # Array np.abs can differ from scalar abs in the last bit; the
+        # stacked readout must not.
+        rng = np.random.default_rng(26)
+        stack = np.array([random_unitary(rng) for _ in range(37)])
+        for target in (EXCITED, GROUND):
+            for bit in (0, 1):
+                values = overlap_magnitude(target, stack, bit)
+                expected = [abs(np.vdot(target, u[:, bit])) for u in stack]
+                assert values.tolist() == expected
+
 
 class TestValidators:
     def test_eigenvalues_match_numpy(self):
