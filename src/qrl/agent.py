@@ -17,8 +17,8 @@ alpha (X), beta (Y), gamma (Z) in that order, each uniform on
 [-w*pi, w*pi] with the pre-update w.
 
 ``run_lockstep``, the engine of the ensemble, advances many realizations
-as (n, 2, 2) stacks; ``step`` and ``run_realization`` are the scalar
-reference it reproduces bit for bit.
+together, with a closed-form P(0) and streamed draws; ``step`` and
+``run_realization`` are the scalar reference it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, measurement_prob_zero
+from .channels import Channel, measurement_prob_zero, pure_prob_zero
 from .linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitude
+
+BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 
 
 @dataclass
@@ -170,44 +172,59 @@ def run_realization(
 
 
 def run_lockstep(
-    channel: Channel, params: AlgorithmParams, seeds: list[int], *, dual_basis: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+    channel: Channel, params: AlgorithmParams, seeds: list[int], fold, *, dual_basis: bool = False
+) -> np.ndarray:
     """Run one realization per seed, all advanced together step by step.
 
-    Each realization's at most ``4 * iterations`` uniforms are drawn up
-    front; its cursor reads them in the frozen order of ``step``, and the
-    angles repeat ``Generator.uniform(lo, hi) = lo + (hi - lo) * u``.
-    Returns (iterations, columns, n) trajectories of w, f_e, f_g, f_max
-    [, f_e_b1, f_g_b1], equal bit for bit to ``run_realization`` for each
-    seed, and the draws each realization used: iterations + 3 * punishments.
+    P(0) is ``pure_prob_zero`` of the tracked fidelities, both recomputed
+    only for kicked realizations. Generators stream through buffers of
+    ``4 * BLOCK`` uniforms (the most a block reads), which cursors read in
+    the frozen order of ``step``; angles are ``lo + (hi - lo) * u`` as in
+    ``Generator.uniform``. ``fold(k0, block)`` gets iterations k0:k0+b as a
+    reused (b, columns, n) buffer of w, f_e, f_g, f_max [, f_e_b1, f_g_b1],
+    bit-equal to ``run_realization``. Returns the draws each realization
+    used: iterations + 3 * punishments.
     """
     n = len(seeds)
-    draws = np.empty((n, 4 * params.iterations))
-    for row, seed in zip(draws, seeds):
-        np.random.default_rng(seed).random(out=row)
-    cursor = np.zeros(n, dtype=np.intp)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = np.empty((n, 4 * BLOCK))
+    cursor = np.full(n, 4 * BLOCK)  # the empty buffer counts as read
+    used = np.zeros(n, dtype=np.intp)
     realizations = np.arange(n)
     transform = np.repeat(IDENTITY[None], n, axis=0)
-    w = np.ones(n)
     excited, ground = channel.basis.excited, channel.basis.ground
     bit, flipped = params.basis_bit, 1 - params.basis_bit
-    trajectories = np.empty((params.iterations, 6 if dual_basis else 4, n))
-    for k in range(params.iterations):
-        p_zero = measurement_prob_zero(channel, density_from_pure(transform[:, :, bit]))
-        punished = draws[realizations, cursor] > p_zero
-        cursor += 1
-        kicked = np.flatnonzero(punished)
-        if kicked.size:
-            half_width = w[kicked] * math.pi
-            at = cursor[kicked] + np.arange(3)[:, None]  # rows alpha, beta, gamma
-            angles = -half_width + (half_width + half_width) * draws[kicked, at]
-            transform[kicked] = transform[kicked] @ _rotation(*angles)
-            cursor[kicked] += 3
-        w = np.where(punished, np.minimum(params.punish_rate * w, 1.0), params.reward_rate * w)
-        f_e = overlap_magnitude(excited, transform, bit)
-        f_g = overlap_magnitude(ground, transform, bit)
-        trajectories[k, :4] = w, f_e, f_g, np.maximum(f_e, f_g)
-        if dual_basis:
-            trajectories[k, 4] = overlap_magnitude(excited, transform, flipped)
-            trajectories[k, 5] = overlap_magnitude(ground, transform, flipped)
-    return trajectories, cursor
+    readouts = [(1, excited, bit), (2, ground, bit), (4, excited, flipped), (5, ground, flipped)]
+    state = np.ones((6 if dual_basis else 4, n))  # rows w, f_e, f_g, f_max [, f_e_b1, f_g_b1]
+    w, p_zero = state[0], np.empty(n)
+
+    def refresh(at):  # fidelities, f_max and P(0) of realizations ``at`` from their transforms
+        for row, target, target_bit in readouts[: len(state) - 2]:
+            state[row, at] = overlap_magnitude(target, transform[at], target_bit)
+        state[3, at] = np.maximum(state[1, at], state[2, at])
+        p_zero[at] = pure_prob_zero(channel, *state[1:3, at] ** 2)
+
+    refresh(realizations)
+    block = np.empty((BLOCK, *state.shape))
+    for k0 in range(0, params.iterations, BLOCK):
+        for row, rng, consumed in zip(draws, rngs, cursor):  # keep the unread tail, refill
+            row[: row.size - consumed] = row[consumed:]
+            rng.random(out=row[row.size - consumed :])
+        cursor[:] = 0
+        size = min(BLOCK, params.iterations - k0)
+        for k in range(size):
+            punished = draws[realizations, cursor] > p_zero
+            cursor += 1
+            kicked = np.flatnonzero(punished)
+            if kicked.size:
+                half_width = w[kicked] * math.pi
+                at = cursor[kicked] + np.arange(3)[:, None]  # rows alpha, beta, gamma
+                angles = -half_width + (half_width + half_width) * draws[kicked, at]
+                transform[kicked] = transform[kicked] @ _rotation(*angles)
+                cursor[kicked] += 3
+                refresh(kicked)
+            w[:] = np.where(punished, np.minimum(params.punish_rate * w, 1.0), params.reward_rate * w)
+            block[k] = state
+        used += cursor
+        fold(k0, block[:size])
+    return used

@@ -151,7 +151,7 @@ def kraus_pair(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
-    """Evolve a density matrix, or a stack (..., 2, 2) of them, through one step.
+    """Evolve a density matrix through one step of the channel.
 
     Closed-form evaluation in the energy eigenbasis; assumes ``rho`` is a
     valid unit-trace density matrix.
@@ -161,43 +161,48 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     rho_eig = eig_to_comp.conj().T @ rho @ eig_to_comp
 
     survive = channel.decay_factor()
-    coherence = survive * np.exp(-1j * basis.omega * channel.tau)
-    # [()] makes the entries of one matrix numbers, not slower 0-d arrays.
-    coherent = rho_eig[..., 0, 1][()]
-    excited_pop = rho_eig[..., 0, 0][()].real
+    rotation = np.exp(-1j * basis.omega * channel.tau)
+    off = survive * rotation * rho_eig[0, 1]
+    excited_pop = rho_eig[0, 0].real
     if channel.kind == "adn":
-        excited_pop = excited_pop * (survive * survive)
+        excited_pop *= survive * survive
         ground_pop = 1.0 - excited_pop
     else:
-        ground_pop = rho_eig[..., 1, 1][()].real
-    # Real arithmetic: numpy's complex product of arrays can differ in the
-    # last bit from that of two numbers, and a stack must match single calls.
-    off_re = coherence.real * coherent.real - coherence.imag * coherent.imag
-    off_im = coherence.real * coherent.imag + coherence.imag * coherent.real
+        ground_pop = rho_eig[1, 1].real
 
-    evolved_eig = np.zeros(rho_eig.shape, dtype=complex)
-    real, imag = evolved_eig.real, evolved_eig.imag
-    real[..., 0, 0] = excited_pop
-    real[..., 0, 1] = real[..., 1, 0] = off_re
-    imag[..., 0, 1], imag[..., 1, 0] = off_im, -off_im
-    real[..., 1, 1] = ground_pop
+    evolved_eig = np.array([[excited_pop, off], [off.conjugate(), ground_pop]], dtype=complex)
     return eig_to_comp @ evolved_eig @ eig_to_comp.conj().T
 
 
-def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float | np.ndarray:
+def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float:
     """Probability of outcome 0 when the protocol measures after evolution.
 
-    Returns Tr[rho * apply_channel(channel, rho)] (one per matrix of a
-    stack), clamped into [0, 1]. A raw value outside [-1e-12, 1 + 1e-12]
-    indicates a broken channel or an invalid state and raises instead.
+    Returns Tr[rho * apply_channel(channel, rho)], clamped into [0, 1].
+    A raw value outside [-1e-12, 1 + 1e-12] indicates a broken channel or
+    an invalid state and raises instead of being clamped.
     """
     evolved = apply_channel(channel, rho)
     # Tr[rho evolved] as a conjugated elementwise sum; rho is Hermitian.
-    stack = evolved.shape[:-2]
-    raw = np.vecdot(rho.reshape(*stack, 4), evolved.reshape(*stack, 4)).real
-    if ((raw < -linalg.ATOL) | (raw > 1.0 + linalg.ATOL)).any():
+    raw = np.vdot(rho, evolved).real
+    if raw < -linalg.ATOL or raw > 1.0 + linalg.ATOL:
         raise ValueError(
             f"measurement probability {raw!r} outside tolerance band; "
             "channel or input state is invalid"
         )
+    return min(max(raw, 0.0), 1.0)
+
+
+def pure_prob_zero(channel: Channel, excited_pop, ground_pop):
+    """:func:`measurement_prob_zero` of pure states from their energy populations pe, pg.
+
+    As |rho_eg|^2 = pe*pg, P(0) = pe*pe' + pg*pg' + 2*s*cos(omega*tau)*pe*pg
+    with evolved populations pe', pg' and decay factor s, clamped into [0, 1].
+    """
+    survive = channel.decay_factor()
+    excited_out, ground_out = excited_pop, ground_pop
+    if channel.kind == "adn":
+        excited_out = excited_pop * (survive * survive)
+        ground_out = 1.0 - excited_out
+    coherence = 2.0 * survive * math.cos(channel.basis.omega * channel.tau)
+    raw = excited_pop * excited_out + ground_pop * ground_out + coherence * excited_pop * ground_pop
     return np.minimum(np.maximum(raw, 0.0), 1.0)

@@ -3,25 +3,26 @@
 Realization ``i`` of an ensemble runs with its own derived seed
 ``mix_seed(master_seed, i)`` so any single realization can be reproduced
 in isolation. The realizations run in one process, in chunks that the
-lockstep engine ``run_lockstep`` advances together. Aggregation is
-streaming: per-iteration running means and scatter are updated
-realization by realization, always in realization index order, so the
-result is bit-identical for any chunk size.
+lockstep engine ``run_lockstep`` advances together and hands back block
+by block of iterations. Aggregation is streaming: each block's running
+means and scatter are updated realization by realization, always in
+index order, so the result is bit-identical for any chunk or block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .agent import AlgorithmParams, run_lockstep
+from .agent import BLOCK, AlgorithmParams, run_lockstep
 from .channels import Channel
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Bytes of draw and trajectory buffers per chunk of realizations. It
-# bounds peak memory; the chunk size never changes the output.
+# Bytes of the draw buffers and trajectory block of a chunk of realizations.
+# It bounds peak memory; the chunk size never changes the output.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -93,29 +94,32 @@ class EnsembleStats:
 
 
 class _RunningMoments:
-    """Streaming per-iteration mean and scatter (Welford update).
+    """Streaming per-iteration mean and scatter (Welford update) of several columns.
 
-    The incremental mean is exact when every added vector is identical,
-    which keeps analytically constant ensembles (e.g. the degenerate
-    evolution time) bit-exact in the aggregate output.
+    No iteration's recurrence reads another, so adding realizations in
+    index order block by block of iterations gives the bits of adding
+    whole trajectories. The mean is exact when all added vectors are
+    equal, which keeps constant ensembles (e.g. the degenerate time) exact.
     """
 
-    def __init__(self, length: int):
-        self.count = 0
-        self.mean = np.zeros(length)
-        self._m2 = np.zeros(length)
+    def __init__(self, columns: int, length: int):
+        self.mean = np.zeros((columns, length))
+        self._m2 = np.zeros((columns, length))
 
-    def add(self, values: np.ndarray) -> None:
-        self.count += 1
-        delta = values - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (values - self.mean)
+    def add_block(self, first: int, k0: int, block: np.ndarray) -> None:
+        """Add realizations first, first + 1, ... from a (b, columns, n) block of iterations k0:k0+b."""
+        at = slice(k0, k0 + len(block))
+        mean, m2 = self.mean[:, at], self._m2[:, at]
+        for count, values in enumerate(block.transpose(2, 1, 0), start=first + 1):
+            delta = values - mean
+            mean += delta / count
+            m2 += delta * (values - mean)
 
-    def standard_error(self) -> np.ndarray:
-        if self.count < 2:
+    def standard_error(self, count: int) -> np.ndarray:
+        if count < 2:
             return np.zeros_like(self.mean)
-        variance = np.maximum(self._m2, 0.0) / (self.count - 1)
-        return np.sqrt(variance / self.count)
+        variance = np.maximum(self._m2, 0.0) / (count - 1)
+        return np.sqrt(variance / count)
 
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
@@ -125,18 +129,14 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     ``master_seed``), never on how the realizations are chunked.
     """
     n = cfg.n_realizations
-    length = cfg.params.iterations
     n_columns = 6 if cfg.dual_basis else 4
-    moments = [_RunningMoments(length) for _ in range(n_columns)]
-    chunk = max(1, _CHUNK_BYTES // (8 * length * (4 + n_columns)))
+    moments = _RunningMoments(n_columns, cfg.params.iterations)
+    chunk = max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + n_columns)))
     for start in range(0, n, chunk):
         seeds = [mix_seed(cfg.master_seed, i) for i in range(start, min(start + chunk, n))]
-        trajectories, _ = run_lockstep(cfg.channel, cfg.params, seeds, dual_basis=cfg.dual_basis)
-        for realization in trajectories.transpose(2, 1, 0):  # in index order
-            for column, values in zip(moments, realization):
-                column.add(values)
+        fold = partial(moments.add_block, start)
+        run_lockstep(cfg.channel, cfg.params, seeds, fold, dual_basis=cfg.dual_basis)
 
     # EnsembleStats field order: means, then errors, of w, f_e, f_g, f_max; then of the *_b1 pair.
-    fields = [m.mean for m in moments[:4]] + [m.standard_error() for m in moments[:4]]
-    fields += [m.mean for m in moments[4:]] + [m.standard_error() for m in moments[4:]]
-    return EnsembleStats(n, *fields)
+    errors = moments.standard_error(n)
+    return EnsembleStats(n, *moments.mean[:4], *errors[:4], *moments.mean[4:], *errors[4:])

@@ -10,9 +10,10 @@ self-contained static line chart (SVG 1.1, no external assets).
 from __future__ import annotations
 
 import csv
+import os
 from html import escape
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -27,13 +28,24 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def emit_csv(stats: EnsembleStats, destination: str | Path | TextIO) -> None:
-    """Write ensemble statistics as CSV to a path or text stream."""
+def _emit(destination: str | Path | TextIO, write: Callable[[TextIO], object]) -> None:
+    """Run ``write`` on a stream, or on a temporary file that replaces the path only if it succeeds."""
     if hasattr(destination, "write"):
-        _write_csv(stats, destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(stats, handle)
+        write(destination)
+        return
+    temporary = Path(destination).with_name(f".{Path(destination).name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+        os.replace(temporary, destination)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def emit_csv(stats: EnsembleStats, destination: str | Path | TextIO) -> None:
+    """Write ensemble statistics as CSV to a text stream, or atomically to a path."""
+    _emit(destination, lambda handle: _write_csv(stats, handle))
 
 
 def _write_csv(stats: EnsembleStats, handle: TextIO) -> None:
@@ -103,11 +115,7 @@ def emit_svg(
             raise ValueError(f"series {label!r} is empty")
 
     text = render_svg(series, title=title, x_label=x_label, y_label=y_label)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    _emit(destination, lambda handle: handle.write(text))
 
 
 def _axis_range(lo: float, hi: float) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from qrl.agent import (
+    BLOCK,
     AgentState,
     AlgorithmParams,
     init_agent,
@@ -292,13 +293,22 @@ class TestRunLockstep:
         (Channel(kind="noiseless", tau=0.37),
          AlgorithmParams(reward_rate=0.95, punish_rate=1.2, iterations=70, basis_bit=1), False),
         (Channel(kind="adn", tau=5.0, t_dec=10.0), AlgorithmParams(iterations=50), False),
+        # Three full blocks of iterations and a partial fourth.
+        (Channel(kind="pdn", tau=1.0, t_dec=2.0), AlgorithmParams(iterations=3 * BLOCK + 9), True),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_matches_run_realization(self, case):
         channel, params, dual = self.CASES[case]
         seeds = [1000 * case + i for i in range(13)]
-        trajectories, draws = run_lockstep(channel, params, seeds, dual_basis=dual)
+        blocks = []
+
+        def fold(k0, block):
+            assert k0 == sum(map(len, blocks)) and 1 <= len(block) <= BLOCK
+            blocks.append(block.copy())  # the engine reuses its buffer
+
+        draws = run_lockstep(channel, params, seeds, fold, dual_basis=dual)
+        trajectories = np.concatenate(blocks)
         assert trajectories.shape == (params.iterations, 6 if dual else 4, len(seeds))
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
         punished = 0

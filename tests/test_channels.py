@@ -15,6 +15,7 @@ from qrl.channels import (
     hamiltonian_unitary,
     kraus_pair,
     measurement_prob_zero,
+    pure_prob_zero,
 )
 from qrl.linalg import IDENTITY, density_from_pure, is_density_matrix, pauli
 
@@ -275,26 +276,42 @@ channels = st.builds(
 
 
 @st.composite
-def density_stacks(draw):
-    """An (N, 2, 2) stack of density matrices A A^dag / Tr(A A^dag)."""
-    n = draw(st.integers(1, 8))
-    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * n, max_size=8 * n)))
-    a = parts[: 4 * n].reshape(n, 2, 2) + 1j * parts[4 * n :].reshape(n, 2, 2)
-    rho = a @ a.conj().transpose(0, 2, 1)
-    trace = np.trace(rho, axis1=1, axis2=2).real
-    assume(np.all(trace > 1e-6))
-    return rho / trace[:, None, None]
+def densities(draw):
+    """A density matrix A A^dag / Tr(A A^dag)."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    a = parts[:4].reshape(2, 2) + 1j * parts[4:].reshape(2, 2)
+    rho = a @ a.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-6)
+    return rho / trace
 
 
-class TestStackedEvaluation:
+class TestChannelProperties:
     @settings(max_examples=200, deadline=None)
-    @given(channel=channels, rho=density_stacks())
-    def test_stack_equals_single_calls(self, channel, rho):
+    @given(channel=channels, rho=densities())
+    def test_maps_density_matrices_to_density_matrices(self, channel, rho):
         evolved = apply_channel(channel, rho)
-        probs = measurement_prob_zero(channel, rho)
-        assert evolved.shape == rho.shape and probs.shape == rho.shape[:1]
-        for j, single in enumerate(rho):
-            assert evolved[j].tobytes() == apply_channel(channel, single).tobytes()
-            assert probs[j].tobytes() == np.float64(measurement_prob_zero(channel, single)).tobytes()
-            assert probs[j] == min(max(np.vdot(single, evolved[j]).real, 0.0), 1.0)
-            assert is_density_matrix(evolved[j], atol=1e-12)
+        assert is_density_matrix(evolved, atol=1e-12)
+        np.testing.assert_allclose(evolved, kraus_form(channel, rho), atol=1e-12)
+        assert 0.0 <= measurement_prob_zero(channel, rho) <= 1.0
+
+
+@st.composite
+def pure_states(draw):
+    """A normalized complex vector of shape (2,)."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    psi = parts[:2] + 1j * parts[2:]
+    norm = np.linalg.norm(psi)
+    assume(norm > 1e-3)
+    return psi / norm
+
+
+class TestPureProbZero:
+    @settings(max_examples=300, deadline=None)
+    @given(channel=channels, psi=pure_states())
+    def test_matches_matrix_form(self, channel, psi):
+        excited = abs(np.vdot(channel.basis.excited, psi)) ** 2
+        ground = abs(np.vdot(channel.basis.ground, psi)) ** 2
+        prob = pure_prob_zero(channel, excited, ground)
+        assert 0.0 <= prob <= 1.0
+        assert abs(prob - measurement_prob_zero(channel, density_from_pure(psi))) <= 1e-14

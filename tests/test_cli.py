@@ -2,6 +2,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrl.cli import (
     PlotSpec,
@@ -29,6 +31,44 @@ def write_sweep(tmp_path, blocks):
         for i, extra in enumerate(blocks, start=1)
     ))
     return config
+
+
+def format_sweep(specs):
+    """Sweep text with one block per spec: every key with its value, ``svg`` when set."""
+    blocks = []
+    for spec in specs:
+        lines = [
+            f"noise = {spec.noise}", f"ttau = {spec.ttau!r}", f"tdec = {spec.tdec!r}",
+            f"reward = {spec.reward!r}", f"punish = {spec.punish!r}", f"iters = {spec.iters}",
+            f"realizations = {spec.realizations}", f"seed = {spec.seed}",
+            f"dual_basis = {spec.dual_basis}", f"out = {spec.out}",
+        ]
+        if spec.svg is not None:
+            lines.append(f"svg = {spec.svg}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
+names = st.text("abcxyz019_-", min_size=1, max_size=8)
+
+
+@st.composite
+def run_specs(draw, index):
+    """A valid RunSpec whose output paths carry the block index, so no two blocks share one."""
+    positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+    return RunSpec(
+        noise=draw(st.sampled_from(["none", "pdn", "adn"])),
+        ttau=draw(positive | st.just(2 * math.pi)),
+        tdec=draw(positive | st.just(math.inf)),
+        reward=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        punish=draw(st.floats(1.0, 1e3, exclude_min=True)),
+        iters=draw(st.integers(1, 10**6)),
+        realizations=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        dual_basis=draw(st.booleans()),
+        out=f"{index}-{draw(names)}.csv",
+        svg=draw(st.none() | names.map(lambda name: f"{index}-{name}.svg")),
+    )
 
 
 class TestParseArgs:
@@ -146,6 +186,11 @@ class TestSweepText:
                     realizations=20, seed=5, dual_basis=True, out="x.csv", svg="x.svg"),
             RunSpec(noise="pdn", ttau=1.5, out="y.csv"),
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(run_specs(i) for i in range(n)))))
+    def test_round_trip_property(self, specs):
+        assert parse_sweep_text(format_sweep(specs)) == list(specs)
 
 
 class TestRunCommand:

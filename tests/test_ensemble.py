@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrl.agent import AlgorithmParams, run_realization
+from qrl.agent import BLOCK, AlgorithmParams, run_realization
 from qrl.channels import Channel, default_energy_basis
 from qrl import ensemble
 from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble
@@ -81,11 +81,12 @@ class TestRunEnsemble:
         names = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
                  "f_e_b1", "f_g_b1", "se_f_e_b1", "se_f_g_b1")
         for dual, columns in ((False, 4), (True, 6)):
-            cfg = small_config(n=30, iters=50, seed=8, dual=dual)
+            # Two full blocks of iterations and a partial third.
+            cfg = small_config(n=30, iters=2 * BLOCK + 22, seed=8, dual=dual)
             whole = run_ensemble(cfg)  # one chunk
             # Chunks of 1, 7 and 29 realizations; the last chunk of 7 and of 29 is partial.
             for chunk in (1, 7, 29):
-                monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * 50 * (4 + columns))
+                monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * BLOCK * (4 + columns))
                 chunked = run_ensemble(cfg)
                 for name in names:
                     np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))

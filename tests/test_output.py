@@ -78,6 +78,19 @@ class TestEmitCsv:
         np.testing.assert_allclose(columns["F_g"], stats.f_g, rtol=1e-11)
         np.testing.assert_allclose(columns["se_W"], stats.se_w, rtol=1e-11)
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old bytes\n")
+        broken = make_stats({"w": [0.9] * 500})
+        broken.f_e = broken.f_e[:300]  # the writer raises at row 301, past several buffer flushes
+        with pytest.raises(IndexError):
+            emit_csv(broken, path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+        emit_csv(make_stats({"w": [0.9]}), path)
+        assert path.read_text(encoding="utf-8").startswith("k,W,")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
