@@ -7,14 +7,7 @@ noiseless, phase damping or amplitude damping; a Monte Carlo harness
 aggregates learning curves over many seeded realizations.
 """
 
-from .agent import (
-    AgentState,
-    AlgorithmParams,
-    IterationRecord,
-    init_agent,
-    run_realization,
-    step,
-)
+from .agent import AgentState, AlgorithmParams, IterationRecord, init_agent, run_realization, step
 from .channels import (
     Channel,
     EnergyBasis,
@@ -24,12 +17,7 @@ from .channels import (
     kraus_pair,
     measurement_prob_zero,
 )
-from .ensemble import (
-    EnsembleConfig,
-    EnsembleStats,
-    mix_seed,
-    run_ensemble,
-)
+from .ensemble import EnsembleConfig, EnsembleStats, mix_seed, run_ensemble
 from .linalg import (
     axis_rotation,
     conjugate,

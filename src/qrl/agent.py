@@ -17,8 +17,9 @@ alpha (X), beta (Y), gamma (Z) in that order, each uniform on
 [-w*pi, w*pi] with the pre-update w.
 
 ``run_lockstep``, the engine of the ensemble, advances many realizations
-together, with a closed-form P(0) and streamed draws; ``step`` and
-``run_realization`` are the scalar reference it reproduces bit for bit.
+together (closed-form P(0), streamed draws, one rotation and one readout
+call per step for all kicks); ``step`` and ``run_realization`` are the
+scalar reference it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 class AlgorithmParams:
     """Learning-rule parameters of a realization.
 
-    ``reward_rate`` in (0, 1) shrinks w on outcome 0, ``punish_rate`` > 1
+    ``reward_rate`` in (0, 1) shrinks w on outcome 0, a finite ``punish_rate`` > 1
     grows it on outcome 1, ``iterations`` is the number of loop steps and
     ``basis_bit`` the computational basis state the preparation starts
     from. The reward/punishment rates are not fixed by the protocol; the
@@ -53,8 +54,8 @@ class AlgorithmParams:
     def __post_init__(self):
         if not 0.0 < self.reward_rate < 1.0:
             raise ValueError(f"reward_rate must be in (0, 1), got {self.reward_rate}")
-        if not self.punish_rate > 1.0:
-            raise ValueError(f"punish_rate must be > 1, got {self.punish_rate}")
+        if not (self.punish_rate > 1.0 and math.isfinite(self.punish_rate)):
+            raise ValueError(f"punish_rate must be finite and > 1, got {self.punish_rate}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.basis_bit not in (0, 1):
@@ -97,9 +98,10 @@ def init_agent() -> AgentState:
     return AgentState()
 
 
-def _rotation(alpha, beta, gamma) -> np.ndarray:
-    """Kick Ry(beta) Rz(gamma) Rx(alpha); arrays of angles give a stack of kicks."""
-    return axis_rotation("Y", beta) @ axis_rotation("Z", gamma) @ axis_rotation("X", alpha)
+def _rotation(angles) -> np.ndarray:
+    """Kick Ry(beta) Rz(gamma) Rx(alpha) from (alpha, beta, gamma); (3, ...) arrays give a stack."""
+    rx, ry, rz = axis_rotation("XYZ", angles)
+    return ry @ rz @ rx
 
 
 def step(
@@ -127,8 +129,8 @@ def step(
         w_next = min(params.punish_rate * state.w, 1.0)
         # Angles alpha, beta, gamma, drawn in that order from the pre-update interval.
         half_width = state.w * math.pi
-        alpha, beta, gamma = (rng.uniform(-half_width, half_width) for _ in range(3))
-        transform_next = state.transform @ _rotation(alpha, beta, gamma)
+        angles = [rng.uniform(-half_width, half_width) for _ in range(3)]
+        transform_next = state.transform @ _rotation(angles)
 
     basis = channel.basis
     f_e = overlap_magnitude(basis.excited, transform_next, params.basis_bit)
@@ -181,50 +183,53 @@ def run_lockstep(
     ``4 * BLOCK`` uniforms (the most a block reads), which cursors read in
     the frozen order of ``step``; angles are ``lo + (hi - lo) * u`` as in
     ``Generator.uniform``. ``fold(k0, block)`` gets iterations k0:k0+b as a
-    reused (b, columns, n) buffer of w, f_e, f_g, f_max [, f_e_b1, f_g_b1],
-    bit-equal to ``run_realization``. Returns the draws each realization
-    used: iterations + 3 * punishments.
+    reused (n, columns, b) buffer, one (columns, b) trajectory block per
+    realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to
+    ``run_realization``. Returns the draws each realization used:
+    iterations + 3 * punishments.
     """
     n = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((n, 4 * BLOCK))
-    cursor = np.full(n, 4 * BLOCK)  # the empty buffer counts as read
+    flat, row_start = draws.reshape(-1), np.arange(n) * draws.shape[1]
+    cursor = row_start + draws.shape[1]  # positions in ``flat``; the empty buffer counts as read
     used = np.zeros(n, dtype=np.intp)
-    realizations = np.arange(n)
     transform = np.repeat(IDENTITY[None], n, axis=0)
-    excited, ground = channel.basis.excited, channel.basis.ground
-    bit, flipped = params.basis_bit, 1 - params.basis_bit
-    readouts = [(1, excited, bit), (2, ground, bit), (4, excited, flipped), (5, ground, flipped)]
     state = np.ones((6 if dual_basis else 4, n))  # rows w, f_e, f_g, f_max [, f_e_b1, f_g_b1]
     w, p_zero = state[0], np.empty(n)
+    # Overlap readouts: their state rows, targets and the basis bits they prepare from.
+    rows = np.array([1, 2, 4, 5][: len(state) - 2])
+    targets = np.array([channel.basis.excited, channel.basis.ground] * 2)[: len(rows)]
+    bits = (np.array([0, 0, 1, 1]) ^ params.basis_bit)[: len(rows)]
 
-    def refresh(at):  # fidelities, f_max and P(0) of realizations ``at`` from their transforms
-        for row, target, target_bit in readouts[: len(state) - 2]:
-            state[row, at] = overlap_magnitude(target, transform[at], target_bit)
-        state[3, at] = np.maximum(state[1, at], state[2, at])
-        p_zero[at] = pure_prob_zero(channel, *state[1:3, at] ** 2)
+    def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
+        fidelity = overlap_magnitude(targets, unitaries, bits).T
+        state[rows[:, None], at] = fidelity
+        state[3, at] = np.maximum(fidelity[0], fidelity[1])
+        p_zero[at] = pure_prob_zero(channel, fidelity[0] ** 2, fidelity[1] ** 2)
 
-    refresh(realizations)
-    block = np.empty((BLOCK, *state.shape))
+    refresh(np.arange(n), transform)
+    block = np.empty((n, len(state), BLOCK))
     for k0 in range(0, params.iterations, BLOCK):
-        for row, rng, consumed in zip(draws, rngs, cursor):  # keep the unread tail, refill
+        for row, rng, consumed in zip(draws, rngs, cursor - row_start):  # keep the unread tail
             row[: row.size - consumed] = row[consumed:]
             rng.random(out=row[row.size - consumed :])
-        cursor[:] = 0
+        cursor[:] = row_start
         size = min(BLOCK, params.iterations - k0)
         for k in range(size):
-            punished = draws[realizations, cursor] > p_zero
+            kicked = np.flatnonzero(flat[cursor] > p_zero)
             cursor += 1
-            kicked = np.flatnonzero(punished)
+            w_kicked = w[kicked]  # the pre-update w sets the kick's interval
+            w *= params.reward_rate
             if kicked.size:
-                half_width = w[kicked] * math.pi
-                at = cursor[kicked] + np.arange(3)[:, None]  # rows alpha, beta, gamma
-                angles = -half_width + (half_width + half_width) * draws[kicked, at]
-                transform[kicked] = transform[kicked] @ _rotation(*angles)
-                cursor[kicked] += 3
-                refresh(kicked)
-            w[:] = np.where(punished, np.minimum(params.punish_rate * w, 1.0), params.reward_rate * w)
-            block[k] = state
-        used += cursor
-        fold(k0, block[:size])
+                at = cursor[kicked]  # alpha, beta, gamma follow the measurement draw
+                half_width = w_kicked * math.pi
+                angles = -half_width + (half_width + half_width) * flat[at + np.arange(3)[:, None]]
+                transform[kicked] = kicked_transform = transform[kicked] @ _rotation(angles)
+                cursor[kicked] = at + 3
+                refresh(kicked, kicked_transform)
+                w[kicked] = np.minimum(params.punish_rate * w_kicked, 1.0)
+            block[..., k] = state.T
+        used += cursor - row_start
+        fold(k0, block[..., :size])
     return used

@@ -89,6 +89,9 @@ class RunSpec:
     svg: str | None = None
 
     def to_config(self) -> EnsembleConfig:
+        """The ensemble cell; ValueError on a bad parameter or a CSV and SVG on one path."""
+        if self.out and self.svg and os.path.normpath(self.out) == os.path.normpath(self.svg):
+            raise ValueError(f"out and svg both write {self.out!r}")
         return EnsembleConfig(
             channel=Channel(kind=_KIND_BY_NOISE[self.noise], tau=self.ttau, t_dec=self.tdec),
             params=AlgorithmParams(
@@ -154,11 +157,7 @@ def parse_args(argv=None) -> RunSpec | SweepSpec | PlotSpec:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "run":
-        spec = RunSpec(
-            noise=ns.noise, ttau=ns.ttau, tdec=ns.tdec, reward=ns.reward, punish=ns.punish,
-            iters=ns.iters, realizations=ns.realizations, seed=ns.seed,
-            dual_basis=ns.dual_basis, out=ns.out, svg=ns.svg,
-        )
+        spec = RunSpec(**{key: value for key, value in vars(ns).items() if key != "command"})
         try:
             spec.to_config()
         except ValueError as exc:
@@ -250,11 +249,6 @@ def _run_cell(spec: RunSpec, base: Path) -> None:
         emit_svg([(spec.label(), list(k), stats.f_max)], svg, y_label="F_max")
 
 
-def _cmd_run(spec: RunSpec) -> int:
-    _run_cell(spec, Path("."))
-    return 0
-
-
 def _cmd_sweep(spec: SweepSpec) -> int:
     runs = parse_sweep_text(Path(spec.config).read_text(encoding="utf-8"))
     base = Path(spec.out_dir or ".")
@@ -286,7 +280,8 @@ def main(argv=None) -> int:
     spec = parse_args(argv)
     try:
         if isinstance(spec, RunSpec):
-            return _cmd_run(spec)
+            _run_cell(spec, Path("."))
+            return 0
         if isinstance(spec, SweepSpec):
             return _cmd_sweep(spec)
         return _cmd_plot(spec)

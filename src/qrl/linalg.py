@@ -41,15 +41,18 @@ def pauli(axis: str) -> np.ndarray:
     return _pauli_ref(axis).copy()
 
 
-def axis_rotation(axis: str, angle: float | np.ndarray) -> np.ndarray:
-    """Rotation exp(-i*angle*P/2) about the given Pauli axis.
+def axis_rotation(axes: str, angle: float | np.ndarray) -> np.ndarray:
+    """Rotation exp(-i*angle*P/2) about the Pauli axis ``axes``, or one per letter of ``axes``.
 
     Uses the closed form cos(angle/2)*I - i*sin(angle/2)*P, which is exact
     for 2x2 Pauli generators. An array of angles gives a stack of shape
-    ``angle.shape + (2, 2)``.
+    ``angle.shape + (2, 2)``; with several letters, e.g. ``"XYZ"``, the
+    leading axis of ``angle`` runs over the letters.
     """
     half = 0.5 * np.asarray(angle)[..., None, None]
-    return np.cos(half) * IDENTITY - 1j * np.sin(half) * _pauli_ref(axis)
+    paulis = np.array([_pauli_ref(axis) for axis in axes])
+    generator = paulis[0] if len(axes) == 1 else paulis.reshape(-1, *[1] * (half.ndim - 3), 2, 2)
+    return np.cos(half) * IDENTITY - 1j * np.sin(half) * generator
 
 
 def conjugate(unitary: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -63,11 +66,16 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit: int) -> float | np.ndarray:
-    """|<target| U |b>| for a computational basis bit b in {0, 1}, per unitary of a stack."""
-    if basis_bit not in (0, 1):
+def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit) -> float | np.ndarray:
+    """|<target| U |b>| for a computational basis bit b in {0, 1}, per unitary of a stack.
+
+    Stacked targets (m, 2) with m basis bits add a trailing axis: entry j reads target j, bit j.
+    """
+    bits = np.asarray(basis_bit)
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError(f"basis_bit must be 0 or 1, got {basis_bit}")
-    amplitude = np.vecdot(target, unitary[..., :, basis_bit])
+    columns = unitary[..., bits].swapaxes(-1, -2) if bits.ndim else unitary[..., :, basis_bit]
+    amplitude = np.vecdot(target, columns)
     # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.
     return np.hypot(amplitude.real, amplitude.imag)
 

@@ -2,19 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qrl.agent import (
     BLOCK,
     AgentState,
     AlgorithmParams,
+    _rotation,
     init_agent,
     run_lockstep,
     run_realization,
     step,
 )
 from qrl.channels import Channel, default_energy_basis, measurement_prob_zero
-from qrl.linalg import IDENTITY, density_from_pure, is_unitary, overlap_magnitude, pauli
+from qrl.linalg import (
+    IDENTITY,
+    axis_rotation,
+    density_from_pure,
+    is_unitary,
+    overlap_magnitude,
+    pauli,
+)
 
 BASIS = default_energy_basis()
 SQRT3_HALF = math.sqrt(3) / 2
@@ -74,7 +84,7 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError, match="reward_rate"):
             AlgorithmParams(reward_rate=reward)
 
-    @pytest.mark.parametrize("punish", [1.0, 0.5, -3.0])
+    @pytest.mark.parametrize("punish", [1.0, 0.5, -3.0, math.inf, math.nan])
     def test_rejects_bad_punish(self, punish):
         with pytest.raises(ValueError, match="punish_rate"):
             AlgorithmParams(punish_rate=punish)
@@ -133,6 +143,31 @@ class TestRandomRotation:
         )
         np.testing.assert_allclose(kicked, GOLDEN_FRAME @ oracle, atol=1e-13)
         assert stub.calls == [(0.0, 1.0)] + [(-math.pi, math.pi)] * 3
+
+
+# Kick angles: the interval edges, zeros of both signs, and anything in [-2pi, 2pi].
+KICK_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-2 * math.pi, 2 * math.pi)
+)
+
+
+class TestOnePassKick:
+    # The kick builds Rx, Ry and Rz from one cos and one sin over the
+    # stacked angles; it must keep the bits of three separate rotations.
+    @staticmethod
+    def three_rotations(alpha, beta, gamma):
+        return axis_rotation("Y", beta) @ axis_rotation("Z", gamma) @ axis_rotation("X", alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples=st.lists(st.tuples(*[KICK_ANGLES] * 3), min_size=1, max_size=40))
+    def test_equals_three_axis_rotations(self, triples):
+        angles = np.array(triples).T  # rows alpha, beta, gamma
+        stacked = _rotation(angles)
+        assert stacked.tobytes() == self.three_rotations(*angles).tobytes()
+        for kick, triple in zip(stacked, triples):  # scalar angles, as ``step`` passes them
+            single = self.three_rotations(*triple)
+            assert _rotation(list(triple)).tobytes() == single.tobytes()
+            assert kick.tobytes() == single.tobytes()
 
 
 class TestStep:
@@ -304,18 +339,18 @@ class TestRunLockstep:
         blocks = []
 
         def fold(k0, block):
-            assert k0 == sum(map(len, blocks)) and 1 <= len(block) <= BLOCK
+            assert k0 == sum(b.shape[2] for b in blocks) and 1 <= block.shape[2] <= BLOCK
             blocks.append(block.copy())  # the engine reuses its buffer
 
         draws = run_lockstep(channel, params, seeds, fold, dual_basis=dual)
-        trajectories = np.concatenate(blocks)
-        assert trajectories.shape == (params.iterations, 6 if dual else 4, len(seeds))
+        trajectories = np.concatenate(blocks, axis=2)
+        assert trajectories.shape == (len(seeds), 6 if dual else 4, params.iterations)
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
         punished = 0
         for j, seed in enumerate(seeds):
             records = run_realization(channel, params, seed, dual_basis=dual)
             for column, name in enumerate(names):
-                assert trajectories[:, column, j].tolist() == [getattr(r, name) for r in records]
+                assert trajectories[j, column].tolist() == [getattr(r, name) for r in records]
             punishments = sum(r.outcome for r in records)
             assert draws[j] == params.iterations + 3 * punishments
             punished += punishments > 0

@@ -116,6 +116,7 @@ class TestParseArgs:
             ["run", "--no-such-flag"],
             ["frobnicate"],
             ["run", "--seed", str(2**64)],
+            ["run", "--punish", "inf"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -166,6 +167,7 @@ class TestSweepText:
             ("reward = 2", "reward_rate"),
             ("seed = 18446744073709551616\nout = a.csv", "master_seed"),
             ("out = a.csv\n\nout = ./a.csv", "blocks 1 and 2 both write"),
+            ("out = a.csv\nsvg = ./a.csv", "block 1: out and svg both write 'a.csv'"),
             ("dual_basis = perhaps", "boolean"),
             ("# only a comment", "no run blocks"),
         ],
@@ -240,6 +242,15 @@ class TestRunCommand:
         assert capsys.readouterr().err.count("qrl:") == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_csv_and_svg_on_one_path_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        path = str(tmp_path / "x")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", path, "--svg", str(tmp_path / "." / "x")])
+        assert excinfo.value.code == 2
+        assert f"out and svg both write {path!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_runs_all_blocks(self, tmp_path):
@@ -305,6 +316,13 @@ class TestSweepCommand:
         config = write_sweep(tmp_path, ["out = a.csv\nsvg = f.svg", "out = b.csv\nsvg = f.svg"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert "blocks 1 and 2 both write 'f.svg'" in capsys.readouterr().err
+
+    def test_csv_and_svg_on_one_path_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        config = write_sweep(tmp_path, ["out = a.csv", "out = b.csv\nsvg = b.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert "block 2: out and svg both write 'b.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.sweep")]) == 1

@@ -10,7 +10,8 @@ before the engine that followed replaced it. The cells cover the three
 noise kinds, tau in {1, 2pi}, dual-basis on and off, basis bit 1 with
 non-default rates, a 45 x 500 dual-basis cell, and a 300 x 150 dual-basis
 cell that spans three iteration blocks, ends in a partial one and runs
-as more than one chunk of realizations.
+as three chunks of realizations, the last one partial (its chunk size is
+forced, since the default would run it as one chunk).
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from qrl.agent import AlgorithmParams
+from qrl import ensemble
+from qrl.agent import BLOCK, AlgorithmParams
 from qrl.channels import Channel
 from qrl.ensemble import EnsembleConfig, run_ensemble
 from qrl.output import emit_csv
@@ -79,7 +81,11 @@ CELLS = {
 }
 
 
-def _run(name):
+# Realizations per chunk forced on a cell, so that it runs as several chunks.
+CHUNKS = {"adn-1-dual-blocks": 128}
+
+
+def _run(name, monkeypatch):
     (kind, tau, t_dec), rates, n, iterations, seed, dual, *_ = CELLS[name]
     cfg = EnsembleConfig(
         channel=Channel(kind=kind, tau=tau, t_dec=t_dec),
@@ -88,19 +94,32 @@ def _run(name):
         master_seed=seed,
         dual_basis=dual,
     )
-    return run_ensemble(cfg)
+    chunks = []
+    if name in CHUNKS:
+        chunk_bytes = CHUNKS[name] * 8 * BLOCK * (4 + (6 if dual else 4))
+        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk_bytes)
+        engine = ensemble.run_lockstep
+
+        def counted(channel, params, seeds, fold, **kwargs):
+            chunks.append(len(seeds))
+            return engine(channel, params, seeds, fold, **kwargs)
+
+        monkeypatch.setattr(ensemble, "run_lockstep", counted)
+    stats = run_ensemble(cfg)
+    assert name not in CHUNKS or chunks == [128, 128, 44]
+    return stats
 
 
 @pytest.mark.parametrize("name", CELLS)
-def test_csv_digest(name):
+def test_csv_digest(name, monkeypatch):
     buffer = io.StringIO()
-    emit_csv(_run(name), buffer)
+    emit_csv(_run(name, monkeypatch), buffer)
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == CELLS[name][-2]
 
 
 @pytest.mark.parametrize("name", CELLS)
-def test_raw_digest(name):
-    stats = _run(name)
+def test_raw_digest(name, monkeypatch):
+    stats = _run(name, monkeypatch)
     digest = hashlib.sha256()
     for field in dataclasses.fields(stats):
         value = getattr(stats, field.name)

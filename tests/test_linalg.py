@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qrl.linalg import (
@@ -59,6 +61,18 @@ class TestPauli:
 
 
 class TestAxisRotation:
+    def test_letters_stack_single_rotations(self):
+        angles = np.array([[0.3, -math.pi], [1.1, 0.0], [math.pi, -2.5]])
+        stack = axis_rotation("XYZ", angles)
+        assert stack.shape == (3, 2, 2, 2)
+        for rotation, axis, angle in zip(stack, "XYZ", angles):
+            assert rotation.tobytes() == axis_rotation(axis, angle).tobytes()
+        assert axis_rotation("ZX", [0.4, -0.9]).tobytes() == np.array(
+            [axis_rotation("Z", 0.4), axis_rotation("X", -0.9)]
+        ).tobytes()
+        with pytest.raises(ValueError, match="Pauli axis"):
+            axis_rotation("XW", [0.1, 0.2])
+
     def test_zero_angle_is_identity(self):
         for axis in "XYZ":
             np.testing.assert_array_equal(axis_rotation(axis, 0.0), IDENTITY)
@@ -163,6 +177,24 @@ class TestOverlapMagnitude:
     def test_rejects_bad_bit(self):
         with pytest.raises(ValueError, match="basis_bit"):
             overlap_magnitude(EXCITED, IDENTITY, 2)
+        with pytest.raises(ValueError, match="basis_bit"):
+            overlap_magnitude(np.array([EXCITED, GROUND]), IDENTITY, [0, 2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.sampled_from([(), (1,), (7,), (3, 5)]),
+        bits=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+    )
+    def test_target_stack_equals_single_calls(self, seed, stack, bits):
+        rng = np.random.default_rng(seed)
+        unitaries = rng.normal(size=(*stack, 2, 2)) + 1j * rng.normal(size=(*stack, 2, 2))
+        targets = rng.normal(size=(len(bits), 2)) + 1j * rng.normal(size=(len(bits), 2))
+        values = overlap_magnitude(targets, unitaries, bits)
+        assert values.shape == (*stack, len(bits))
+        for j, (target, bit) in enumerate(zip(targets, bits)):
+            single = np.asarray(overlap_magnitude(target, unitaries, bit))
+            assert values[..., j].tobytes() == single.tobytes()
 
     def test_stack_keeps_scalar_modulus_bits(self):
         # Array np.abs can differ from scalar abs in the last bit; the
