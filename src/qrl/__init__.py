@@ -7,7 +7,7 @@ noiseless, phase damping or amplitude damping; a Monte Carlo harness
 aggregates learning curves over many seeded realizations.
 """
 
-from .agent import AgentState, AlgorithmParams, IterationRecord, init_agent, run_realization, step
+from .agent import AgentState, AlgorithmParams, IterationRecord, run_realization, step
 from .channels import (
     Channel,
     EnergyBasis,
@@ -18,16 +18,7 @@ from .channels import (
     measurement_prob_zero,
 )
 from .ensemble import EnsembleConfig, EnsembleStats, mix_seed, run_ensemble
-from .linalg import (
-    axis_rotation,
-    conjugate,
-    density_from_pure,
-    is_density_matrix,
-    is_normalized,
-    is_unitary,
-    overlap_magnitude,
-    pauli,
-)
+from .linalg import axis_rotation, density_from_pure, is_normalized, overlap_magnitude
 from .output import emit_csv, emit_svg, read_csv
 
 __version__ = "0.1.0"
@@ -42,21 +33,16 @@ __all__ = [
     "IterationRecord",
     "apply_channel",
     "axis_rotation",
-    "conjugate",
     "default_energy_basis",
     "density_from_pure",
     "emit_csv",
     "emit_svg",
     "hamiltonian_unitary",
-    "init_agent",
-    "is_density_matrix",
     "is_normalized",
-    "is_unitary",
     "kraus_pair",
     "measurement_prob_zero",
     "mix_seed",
     "overlap_magnitude",
-    "pauli",
     "read_csv",
     "run_ensemble",
     "run_realization",

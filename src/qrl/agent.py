@@ -64,7 +64,7 @@ class AlgorithmParams:
 
 @dataclass
 class AgentState:
-    """Mutable loop state: accumulated unitary, exploration parameter, step count."""
+    """Mutable loop state: accumulated unitary, exploration parameter, step; fresh by default."""
 
     transform: np.ndarray = field(default_factory=lambda: IDENTITY.copy())
     w: float = 1.0
@@ -91,11 +91,6 @@ class IterationRecord:
     p_zero: float
     f_e_b1: float | None = None
     f_g_b1: float | None = None
-
-
-def init_agent() -> AgentState:
-    """Fresh agent: identity transform, exploration parameter 1, step 0."""
-    return AgentState()
 
 
 def _rotation(angles) -> np.ndarray:
@@ -161,7 +156,7 @@ def run_realization(
     basis bit.
     """
     rng = np.random.default_rng(seed)
-    state = init_agent()
+    state = AgentState()
     flipped = 1 - params.basis_bit
     records = []
     for _ in range(params.iterations):

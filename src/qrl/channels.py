@@ -3,7 +3,8 @@
 A :class:`Channel` bundles the evolution kind, the dimensionless evolution
 time ``tau``, the dimensionless decoherence time ``t_dec`` and the energy
 eigenbasis of the underlying two-level Hamiltonian
-H = (omega/2) * (|e><e| - |g><g|), with hbar = omega = 1 throughout.
+H = (|e><e| - |g><g|) / 2, in units where hbar and the level splitting
+are 1, so that every time is dimensionless.
 
 The channel map is
 
@@ -38,13 +39,11 @@ class EnergyBasis:
     """Orthonormal excited/ground eigenpair of the qubit Hamiltonian.
 
     Both states are complex vectors of shape (2,) in the computational
-    basis; ``omega`` is the dimensionless level splitting (fixed to 1 in
-    all bundled experiments).
+    basis.
     """
 
     excited: np.ndarray
     ground: np.ndarray
-    omega: float = 1.0
 
     def __post_init__(self):
         excited = np.asarray(self.excited, dtype=complex).copy()
@@ -59,20 +58,13 @@ class EnergyBasis:
         ground.setflags(write=False)
         object.__setattr__(self, "excited", excited)
         object.__setattr__(self, "ground", ground)
-        matrix = np.column_stack([excited, ground])
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_transform", matrix)
-
-    def transform(self) -> np.ndarray:
-        """Matrix with columns (excited, ground): maps eigen to computational basis."""
-        return self._transform
 
 
 def default_energy_basis() -> EnergyBasis:
     """Eigenbasis used by all bundled experiments.
 
     Excited state (|0> + sqrt(3)|1>)/2 and ground state (-sqrt(3)|0> + |1>)/2,
-    the eigenpair of H = (omega/4) * (sqrt(3) X - Z).
+    the eigenpair of H = (sqrt(3) X - Z) / 4.
     """
     half_root3 = math.sqrt(3.0) / 2.0
     return EnergyBasis(
@@ -116,15 +108,15 @@ class Channel:
 def hamiltonian_unitary(basis: EnergyBasis, tau: float) -> np.ndarray:
     """Propagator exp(-i H tau) in the computational basis.
 
-    Evaluates exp(-i*omega*tau/2)|e><e| + exp(+i*omega*tau/2)|g><g| by
+    Evaluates exp(-i*tau/2)|e><e| + exp(+i*tau/2)|g><g| by
     eigen-decomposition; tau may be any finite real, including 0.
     """
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    phase = np.exp(-0.5j * basis.omega * tau)
+    phase = np.exp(-0.5j * tau)
     excited_proj = np.outer(basis.excited, basis.excited.conj())
     ground_proj = np.outer(basis.ground, basis.ground.conj())
-    return phase * excited_proj + phase.conjugate() * ground_proj
+    return phase * excited_proj + phase.conj() * ground_proj
 
 
 def kraus_pair(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -156,12 +148,12 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     Closed-form evaluation in the energy eigenbasis; assumes ``rho`` is a
     valid unit-trace density matrix.
     """
-    basis = channel.basis
-    eig_to_comp = basis.transform()
+    # Columns (excited, ground): maps the eigenbasis to the computational basis.
+    eig_to_comp = np.column_stack([channel.basis.excited, channel.basis.ground])
     rho_eig = eig_to_comp.conj().T @ rho @ eig_to_comp
 
     survive = channel.decay_factor()
-    rotation = np.exp(-1j * basis.omega * channel.tau)
+    rotation = np.exp(-1j * channel.tau)
     off = survive * rotation * rho_eig[0, 1]
     excited_pop = rho_eig[0, 0].real
     if channel.kind == "adn":
@@ -170,7 +162,7 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     else:
         ground_pop = rho_eig[1, 1].real
 
-    evolved_eig = np.array([[excited_pop, off], [off.conjugate(), ground_pop]], dtype=complex)
+    evolved_eig = np.array([[excited_pop, off], [off.conj(), ground_pop]], dtype=complex)
     return eig_to_comp @ evolved_eig @ eig_to_comp.conj().T
 
 
@@ -195,7 +187,7 @@ def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float:
 def pure_prob_zero(channel: Channel, excited_pop, ground_pop):
     """:func:`measurement_prob_zero` of pure states from their energy populations pe, pg.
 
-    As |rho_eg|^2 = pe*pg, P(0) = pe*pe' + pg*pg' + 2*s*cos(omega*tau)*pe*pg
+    As |rho_eg|^2 = pe*pg, P(0) = pe*pe' + pg*pg' + 2*s*cos(tau)*pe*pg
     with evolved populations pe', pg' and decay factor s, clamped into [0, 1].
     """
     survive = channel.decay_factor()
@@ -203,6 +195,6 @@ def pure_prob_zero(channel: Channel, excited_pop, ground_pop):
     if channel.kind == "adn":
         excited_out = excited_pop * (survive * survive)
         ground_out = 1.0 - excited_out
-    coherence = 2.0 * survive * math.cos(channel.basis.omega * channel.tau)
+    coherence = 2.0 * survive * math.cos(channel.tau)
     raw = excited_pop * excited_out + ground_pop * ground_out + coherence * excited_pop * ground_pop
     return np.minimum(np.maximum(raw, 0.0), 1.0)

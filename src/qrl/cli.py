@@ -8,13 +8,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage error. The
 ``--seed`` range is [0, 2^64). Output destinations are checked before any
-cell computes.
+cell computes or any plot input is read. Two outputs of one command that
+name the same file, or a plot ``--out`` that names one of its inputs, are
+a usage error; paths are compared absolute, after joining ``--out-dir``.
 
 The sweep config file holds flat ``key = value`` lines with the same keys
 as the run flags; blank lines separate run blocks and ``#`` starts a
-comment. Every block needs an ``out`` path for its CSV, and two blocks
-naming the same output file is a usage error. A block that fails to
-compute or write is reported and does not stop the others.
+comment. Every block needs an ``out`` path for its CSV. A block that
+fails to compute or write is reported and does not stop the others.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .channels import Channel
 from .ensemble import EnsembleConfig, run_ensemble
 from .output import emit_csv, emit_svg, read_csv
 
-_NOISE_CHOICES = ("none", "pdn", "adn")
 _KIND_BY_NOISE = {"none": "noiseless", "pdn": "pdn", "adn": "adn"}
 
 
@@ -58,8 +58,8 @@ def _integer(text: str) -> int:
 
 
 def _noise(text: str) -> str:
-    if text not in _NOISE_CHOICES:
-        raise argparse.ArgumentTypeError(f"noise must be one of {', '.join(_NOISE_CHOICES)}")
+    if text not in _KIND_BY_NOISE:
+        raise argparse.ArgumentTypeError(f"noise must be one of {', '.join(_KIND_BY_NOISE)}")
     return text
 
 
@@ -89,9 +89,7 @@ class RunSpec:
     svg: str | None = None
 
     def to_config(self) -> EnsembleConfig:
-        """The ensemble cell; ValueError on a bad parameter or a CSV and SVG on one path."""
-        if self.out and self.svg and os.path.normpath(self.out) == os.path.normpath(self.svg):
-            raise ValueError(f"out and svg both write {self.out!r}")
+        """The ensemble cell; ValueError on a bad parameter."""
         return EnsembleConfig(
             channel=Channel(kind=_KIND_BY_NOISE[self.noise], tau=self.ttau, t_dec=self.tdec),
             params=AlgorithmParams(
@@ -102,43 +100,47 @@ class RunSpec:
             dual_basis=self.dual_basis,
         )
 
-    def label(self) -> str:
-        return f"{self.noise} ttau={self.ttau:g} tdec={self.tdec:g}"
+
+# Every RunSpec field as a ``qrl run`` flag (``--dual-basis`` for dual_basis) and a
+# sweep key: its converter and help text. The defaults are RunSpec's.
+_RUN_KEYS = {
+    "noise": (_noise, "none, pdn or adn"),
+    "ttau": (_number, "dimensionless evolution time; the token 2pi is accepted"),
+    "tdec": (_number, "dimensionless decoherence time, or inf"),
+    "reward": (_number, "reward rate in (0, 1)"),
+    "punish": (_number, "punishment rate > 1"),
+    "iters": (_integer, "iterations per realization"),
+    "realizations": (_integer, "number of Monte Carlo realizations"),
+    "seed": (_integer, "master seed in [0, 2^64)"),
+    "dual_basis": (_flag, "also record fidelities of the flipped-bit preparation"),
+    "out": (str, "CSV output path (stdout when omitted)"),
+    "svg": (str, "optional SVG chart of F_max"),
+}
 
 
-@dataclass
-class SweepSpec:
-    config: str
-    out_dir: str | None = None
-
-
-@dataclass
-class PlotSpec:
-    csv: list[str]
-    out: str
-    column: str = "F_max"
+def _clash(paths: list[str | None], base: Path) -> tuple[int, int] | None:
+    """First (i, j), i < j, whose ``paths`` name one file once joined to ``base`` and made absolute."""
+    seen: dict[str, int] = {}
+    for j, path in enumerate(paths):
+        if path is not None:
+            i = seen.setdefault(os.path.abspath(base / path), j)
+            if i != j:
+                return i, j
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qrl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one ensemble and write CSV")
-    run.add_argument("--noise", type=_noise, default="none", help="none, pdn or adn")
-    run.add_argument("--ttau", type=_number, default=1.0,
-                     help="dimensionless evolution time; the token 2pi is accepted")
-    run.add_argument("--tdec", type=_number, default=math.inf,
-                     help="dimensionless decoherence time, or inf")
-    run.add_argument("--reward", type=_number, default=0.9, help="reward rate in (0, 1)")
-    run.add_argument("--punish", type=_number, default=1.5, help="punishment rate > 1")
-    run.add_argument("--iters", type=_integer, default=500, help="iterations per realization")
-    run.add_argument("--realizations", type=_integer, default=1000,
-                     help="number of Monte Carlo realizations")
-    run.add_argument("--seed", type=_integer, default=0, help="master seed in [0, 2^64)")
-    run.add_argument("--dual-basis", action="store_true",
-                     help="also record fidelities of the flipped-bit preparation")
-    run.add_argument("--out", default=None, help="CSV output path (stdout when omitted)")
-    run.add_argument("--svg", default=None, help="optional SVG chart of F_max")
+    run = sub.add_parser(
+        "run", help="run one ensemble and write CSV", argument_default=argparse.SUPPRESS
+    )
+    for key, (convert, text) in _RUN_KEYS.items():
+        if convert is _flag:
+            run.add_argument(f"--{key.replace('_', '-')}", action="store_true", help=text)
+        else:
+            run.add_argument(f"--{key}", type=convert, help=text)
 
     swp = sub.add_parser("sweep", help="run every block of a sweep config file")
     swp.add_argument("--config", required=True, help="sweep config file")
@@ -152,42 +154,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunSpec | SweepSpec | PlotSpec:
-    """Parse CLI arguments into a command spec (exits with code 2 on usage errors)."""
+def parse_args(argv=None) -> RunSpec | argparse.Namespace:
+    """A RunSpec for ``run``, else the parsed namespace (exits with code 2 on usage errors)."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "run":
-        spec = RunSpec(**{key: value for key, value in vars(ns).items() if key != "command"})
-        try:
-            spec.to_config()
-        except ValueError as exc:
-            parser.error(f"run: {exc}")
-        return spec
-    if ns.command == "sweep":
-        return SweepSpec(config=ns.config, out_dir=ns.out_dir)
-    return PlotSpec(csv=list(ns.csv), out=ns.out, column=ns.column)
+    if ns.command == "plot" and any(_clash([path, ns.out], Path(".")) for path in ns.csv):
+        parser.error(f"plot: out {ns.out!r} is one of the csv inputs")
+    if ns.command != "run":
+        return ns
+    spec = RunSpec(**{key: value for key, value in vars(ns).items() if key != "command"})
+    try:
+        spec.to_config()
+    except ValueError as exc:
+        parser.error(f"run: {exc}")
+    if _clash([spec.out, spec.svg], Path(".")):
+        parser.error(f"run: out and svg both write {spec.out!r}")
+    return spec
 
 
-_SWEEP_CONVERTERS = {
-    "noise": _noise,
-    "ttau": _number,
-    "tdec": _number,
-    "reward": _number,
-    "punish": _number,
-    "iters": _integer,
-    "realizations": _integer,
-    "seed": _integer,
-    "dual_basis": _flag,
-    "out": str,
-    "svg": str,
-}
-
-
-def parse_sweep_text(text: str) -> list[RunSpec]:
-    """Parse and validate sweep config content into run specs, one per block."""
+def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
+    """Parse and validate sweep config content, outputs under ``base``, into one spec per block."""
     blocks: list[dict] = []
     current: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate([*text.splitlines(), ""], start=1):  # "" ends the last block
         line = raw.split("#", 1)[0].strip()
         if not line:
             if current:
@@ -199,20 +188,17 @@ def parse_sweep_text(text: str) -> list[RunSpec]:
             raise SweepFormatError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _SWEEP_CONVERTERS:
+        if key not in _RUN_KEYS:
             raise SweepFormatError(f"line {lineno}: unknown key {key!r}")
         if key in current:
             raise SweepFormatError(f"line {lineno}: duplicate key {key!r} in block")
         try:
-            current[key] = _SWEEP_CONVERTERS[key](value)
+            current[key] = _RUN_KEYS[key][0](value)
         except argparse.ArgumentTypeError as exc:
             raise SweepFormatError(f"line {lineno}: {exc}") from None
-    if current:
-        blocks.append(current)
     if not blocks:
         raise SweepFormatError("no run blocks found")
     specs = [RunSpec(**block) for block in blocks]
-    writers: dict[str, int] = {}
     for i, spec in enumerate(specs, start=1):
         try:
             spec.to_config()
@@ -220,38 +206,38 @@ def parse_sweep_text(text: str) -> list[RunSpec]:
             raise SweepFormatError(f"block {i}: {exc}") from None
         if spec.out is None:
             raise SweepFormatError(f"block {i}: missing 'out' path")
-        for path in filter(None, (spec.out, spec.svg)):
-            first = writers.setdefault(os.path.normpath(path), i)
-            if first != i:
-                raise SweepFormatError(f"blocks {first} and {i} both write {path!r}")
+    paths = [path for spec in specs for path in (spec.out, spec.svg)]
+    clash = _clash(paths, base)
+    if clash:
+        first, second = (index // 2 + 1 for index in clash)
+        writers = f"blocks {first} and {second}" if first != second else f"block {first}: out and svg"
+        raise SweepFormatError(f"{writers} both write {paths[clash[0]]!r}")
     return specs
 
 
 def _check_destination(path: Path) -> None:
-    """Raise OSError unless ``path`` is a non-directory inside an existing directory."""
+    """Raise OSError, naming ``path``, unless it is a non-directory inside an existing directory."""
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     if not path.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path.parent))
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 def _run_cell(spec: RunSpec, base: Path) -> None:
     """Check the destinations under ``base``, then compute one cell and write it."""
-    out = None if spec.out is None else base / spec.out
-    svg = None if spec.svg is None else base / spec.svg
-    for path in (out, svg):
-        if path is not None:
-            _check_destination(path)
+    out, svg = (None if path is None else base / path for path in (spec.out, spec.svg))
+    for path in filter(None, (out, svg)):
+        _check_destination(path)
     stats = run_ensemble(spec.to_config())
     emit_csv(stats, sys.stdout if out is None else out)
     if svg is not None:
-        k = range(1, stats.iterations + 1)
-        emit_svg([(spec.label(), list(k), stats.f_max)], svg, y_label="F_max")
+        label = f"{spec.noise} ttau={spec.ttau:g} tdec={spec.tdec:g}"
+        emit_svg([(label, list(range(1, stats.iterations + 1)), stats.f_max)], svg, y_label="F_max")
 
 
-def _cmd_sweep(spec: SweepSpec) -> int:
-    runs = parse_sweep_text(Path(spec.config).read_text(encoding="utf-8"))
-    base = Path(spec.out_dir or ".")
+def _cmd_sweep(ns: argparse.Namespace) -> int:
+    base = Path(ns.out_dir or ".")
+    runs = parse_sweep_text(Path(ns.config).read_text(encoding="utf-8"), base)
     base.mkdir(parents=True, exist_ok=True)
 
     failures = 0
@@ -264,15 +250,16 @@ def _cmd_sweep(spec: SweepSpec) -> int:
     return 1 if failures else 0
 
 
-def _cmd_plot(spec: PlotSpec) -> int:
+def _cmd_plot(ns: argparse.Namespace) -> int:
+    _check_destination(Path(ns.out))
     series = []
-    for path in spec.csv:
+    for path in ns.csv:
         columns = read_csv(path)
-        if spec.column not in columns:
+        if ns.column not in columns:
             available = ", ".join(columns)
-            raise ValueError(f"{path}: no column {spec.column!r} (available: {available})")
-        series.append((Path(path).stem, columns["k"], columns[spec.column]))
-    emit_svg(series, spec.out, y_label=spec.column)
+            raise ValueError(f"{path}: no column {ns.column!r} (available: {available})")
+        series.append((Path(path).stem, columns["k"], columns[ns.column]))
+    emit_svg(series, ns.out, y_label=ns.column)
     return 0
 
 
@@ -282,7 +269,7 @@ def main(argv=None) -> int:
         if isinstance(spec, RunSpec):
             _run_cell(spec, Path("."))
             return 0
-        if isinstance(spec, SweepSpec):
+        if spec.command == "sweep":
             return _cmd_sweep(spec)
         return _cmd_plot(spec)
     except SweepFormatError as exc:

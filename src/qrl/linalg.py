@@ -13,8 +13,6 @@ import numpy as np
 
 # Entrywise tolerance for invariant checks on directly constructed objects.
 ATOL = 1e-12
-# Looser tolerance for products of several operations.
-ATOL_COMPOSED = 1e-10
 
 IDENTITY = np.eye(2, dtype=complex)
 
@@ -29,16 +27,12 @@ for _m in _PAULI.values():
 IDENTITY.setflags(write=False)
 
 
-def _pauli_ref(axis: str) -> np.ndarray:
+def _pauli(axis: str) -> np.ndarray:
+    """The read-only Pauli matrix for ``axis`` in {'X', 'Y', 'Z'}."""
     try:
         return _PAULI[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected 'X', 'Y' or 'Z'") from None
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return the Pauli matrix for ``axis`` in {'X', 'Y', 'Z'}."""
-    return _pauli_ref(axis).copy()
 
 
 def axis_rotation(axes: str, angle: float | np.ndarray) -> np.ndarray:
@@ -50,14 +44,9 @@ def axis_rotation(axes: str, angle: float | np.ndarray) -> np.ndarray:
     leading axis of ``angle`` runs over the letters.
     """
     half = 0.5 * np.asarray(angle)[..., None, None]
-    paulis = np.array([_pauli_ref(axis) for axis in axes])
+    paulis = np.array([_pauli(axis) for axis in axes])
     generator = paulis[0] if len(axes) == 1 else paulis.reshape(-1, *[1] * (half.ndim - 3), 2, 2)
     return np.cos(half) * IDENTITY - 1j * np.sin(half) * generator
-
-
-def conjugate(unitary: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conjugate a density matrix: rho -> U rho U^dagger."""
-    return unitary @ rho @ unitary.conj().T
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
@@ -80,34 +69,7 @@ def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit) -> flo
     return np.hypot(amplitude.real, amplitude.imag)
 
 
-def is_normalized(psi: np.ndarray, atol: float = ATOL) -> bool:
-    """Whether |amp0|^2 + |amp1|^2 = 1 within tolerance."""
+def is_normalized(psi: np.ndarray) -> bool:
+    """Whether |amp0|^2 + |amp1|^2 = 1 within ``ATOL``."""
     psi = np.asarray(psi)
-    return abs(float(np.vdot(psi, psi).real) - 1.0) <= atol
-
-
-def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
-    """Whether U^dagger U = I entrywise within tolerance."""
-    return bool(np.all(np.abs(matrix.conj().T @ matrix - IDENTITY) <= atol))
-
-
-def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues (low, high) of a 2x2 Hermitian matrix, by closed form."""
-    a = matrix[0, 0].real
-    c = matrix[1, 1].real
-    half_trace = 0.5 * (a + c)
-    radius = np.hypot(0.5 * (a - c), abs(matrix[0, 1]))
-    return half_trace - radius, half_trace + radius
-
-
-def is_density_matrix(rho: np.ndarray, atol: float = ATOL) -> bool:
-    """Whether rho is Hermitian, unit-trace and PSD within tolerance."""
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        return False
-    if not np.all(np.abs(rho - rho.conj().T) <= atol):
-        return False
-    if abs(float(np.trace(rho).real) - 1.0) > atol:
-        return False
-    low, _ = hermitian_eigenvalues(rho)
-    return low >= -atol
+    return abs(float(np.vdot(psi, psi).real) - 1.0) <= ATOL

@@ -98,10 +98,9 @@ def emit_svg(
     destination: str | Path | TextIO,
     *,
     title: str | None = None,
-    x_label: str = "k",
     y_label: str = "mean",
 ) -> None:
-    """Render labeled (x, y) series as a static SVG line chart.
+    """Render labeled (x, y) series as a static SVG line chart, x labeled ``k``.
 
     ``series`` is a sequence of (label, x values, y values) triples;
     at least one series with at least one point is required.
@@ -114,28 +113,7 @@ def emit_svg(
         if len(x) == 0:
             raise ValueError(f"series {label!r} is empty")
 
-    text = render_svg(series, title=title, x_label=x_label, y_label=y_label)
-    _emit(destination, lambda handle: handle.write(text))
-
-
-def _axis_range(lo: float, hi: float) -> tuple[float, float]:
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        raise ValueError("series contain non-finite values")
-    if lo == hi:
-        pad = 0.5 if lo == 0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
-
-
-def render_svg(
-    series: Sequence[tuple[str, np.ndarray, np.ndarray]],
-    *,
-    title: str | None = None,
-    x_label: str = "k",
-    y_label: str = "mean",
-) -> str:
-    """Build the SVG document text for :func:`emit_svg`."""
+    # The whole document is built before the write opens its temporary file.
     x_lo, x_hi = _axis_range(
         min(float(np.min(x)) for _, x, _ in series),
         max(float(np.max(x)) for _, x, _ in series),
@@ -189,7 +167,7 @@ def render_svg(
         )
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">k</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:g}" text-anchor="middle" '
@@ -220,4 +198,15 @@ def render_svg(
         )
 
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    text = "\n".join(parts) + "\n"
+    _emit(destination, lambda handle: handle.write(text))
+
+
+def _axis_range(lo: float, hi: float) -> tuple[float, float]:
+    if not np.isfinite(lo) or not np.isfinite(hi):
+        raise ValueError("series contain non-finite values")
+    if lo == hi:
+        pad = 0.5 if lo == 0 else abs(lo) * 0.1
+        return lo - pad, hi + pad
+    pad = (hi - lo) * 0.05
+    return lo - pad, hi + pad

@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from qrl.agent import AlgorithmParams, run_realization
+from oracles import hermitian_eigenvalues
+from qrl import ensemble
+from qrl.agent import BLOCK, AlgorithmParams, run_realization
 from qrl.channels import (
     Channel,
     apply_channel,
@@ -23,7 +25,7 @@ from qrl.channels import (
 )
 from qrl.cli import main
 from qrl.ensemble import EnsembleConfig, run_ensemble
-from qrl.linalg import IDENTITY, density_from_pure, hermitian_eigenvalues
+from qrl.linalg import IDENTITY, density_from_pure
 
 BASIS = default_energy_basis()
 TAU1 = 1.0
@@ -135,9 +137,8 @@ def test_criterion_03_fixed_point_structure():
     report(3, "fixed points exact to 1e-12 over 100 random (tau, t_dec)")
 
 
-def test_criterion_04_degenerate_time_exactness(tmp_path, monkeypatch):
+def test_criterion_04_degenerate_time_exactness(tmp_path):
     """At ttau = 2pi every step rewards; CSV carries the analytic values bit-exactly."""
-    monkeypatch.setenv("QRL_THREADS", "1")
     start = time.perf_counter()
 
     channel = Channel(kind="noiseless", tau=TAU2PI)
@@ -233,17 +234,29 @@ def test_criterion_08_exploration_parameter_converges():
 
 
 def test_criterion_09_byte_identical_output_across_workers(tmp_path, monkeypatch):
-    """Same master seed gives byte-identical CSV for 1, 4 and auto workers."""
+    """Same master seed gives byte-identical CSV for chunks of 1, 7 and all 60 realizations."""
     args = ["run", "--noise", "adn", "--ttau", "1", "--tdec", "1",
             "--iters", "120", "--realizations", "60", "--seed", "4242"]
+    engine, default_bytes, chunks = ensemble.run_lockstep, ensemble._CHUNK_BYTES, []
+
+    def counted(channel, params, seeds, fold, **kwargs):
+        chunks.append(len(seeds))
+        return engine(channel, params, seeds, fold, **kwargs)
+
+    monkeypatch.setattr(ensemble, "run_lockstep", counted)
     blobs = []
-    for tag, threads in (("t1", "1"), ("t4", "4"), ("auto", "0"), ("rerun", "1")):
-        monkeypatch.setenv("QRL_THREADS", threads)
-        path = tmp_path / f"{tag}.csv"
+    # Chunk size is _CHUNK_BYTES // (8 * BLOCK * (4 + columns)), with 4 columns here; the
+    # last run keeps the default size, which also runs all 60 realizations as one chunk.
+    for chunk_bytes, expected in ((8 * BLOCK * 8, [1] * 60), (7 * 8 * BLOCK * 8, [7] * 8 + [4]),
+                                  (60 * 8 * BLOCK * 8, [60]), (default_bytes, [60])):
+        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk_bytes)
+        chunks.clear()
+        path = tmp_path / f"{len(blobs)}.csv"
         assert main(args + ["--out", str(path)]) == 0
+        assert chunks == expected
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
-    report(9, f"4 runs, {len(blobs[0])} bytes each, all identical")
+    report(9, f"chunks of 1, 7, 60 and default: {len(blobs[0])} bytes each, all identical")
 
 
 def test_criterion_10_measurement_statistics():

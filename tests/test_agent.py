@@ -6,25 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracles import is_unitary, pauli
 from qrl.agent import (
     BLOCK,
     AgentState,
     AlgorithmParams,
     _rotation,
-    init_agent,
     run_lockstep,
     run_realization,
     step,
 )
 from qrl.channels import Channel, default_energy_basis, measurement_prob_zero
-from qrl.linalg import (
-    IDENTITY,
-    axis_rotation,
-    density_from_pure,
-    is_unitary,
-    overlap_magnitude,
-    pauli,
-)
+from qrl.linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitude
 
 BASIS = default_energy_basis()
 SQRT3_HALF = math.sqrt(3) / 2
@@ -98,13 +91,13 @@ class TestAlgorithmParams:
 
 class TestInitAgent:
     def test_initial_values(self):
-        state = init_agent()
+        state = AgentState()
         np.testing.assert_array_equal(state.transform, IDENTITY)
         assert state.w == 1.0
         assert state.k == 0
 
     def test_initial_fidelities(self):
-        state = init_agent()
+        state = AgentState()
         f_e = overlap_magnitude(BASIS.excited, state.transform, 0)
         f_g = overlap_magnitude(BASIS.ground, state.transform, 0)
         assert f_e == pytest.approx(0.5, abs=1e-12)
@@ -175,7 +168,7 @@ class TestStep:
         channel = Channel(kind="noiseless", tau=2 * math.pi)
         params = AlgorithmParams()
         rng = np.random.default_rng(51)
-        state = init_agent()
+        state = AgentState()
         expected_w = 1.0
         for k in range(1, 201):
             state, record = step(state, channel, params, rng)
@@ -209,16 +202,29 @@ class TestStep:
         assert stub.calls == [(0.0, 1.0), (-half, half), (-half, half), (-half, half)]
         assert is_unitary(new_state.transform, atol=1e-12)
 
+    def test_draw_equal_to_probability_rewards(self):
+        # Outcome 0 is chi <= P(0): a tie rewards, the next double up punishes.
+        channel = Channel(kind="noiseless", tau=1.0)
+        p_zero = measurement_prob_zero(channel, density_from_pure(IDENTITY[:, 0]))
+        tie = StubRng([p_zero])
+        _, record = step(AgentState(), channel, AlgorithmParams(), tie)
+        assert record.outcome == 0 and record.p_zero == p_zero
+        assert tie.calls == [(0.0, 1.0)]
+        above = StubRng([np.nextafter(p_zero, 2.0), 0.1, -0.2, 0.05])
+        _, record = step(AgentState(), channel, AlgorithmParams(), above)
+        assert record.outcome == 1
+        assert above.calls == [(0.0, 1.0)] + [(-math.pi, math.pi)] * 3
+
     def test_reward_keeps_transform_object(self):
         channel = Channel(kind="noiseless", tau=2 * math.pi)
-        state = init_agent()
+        state = AgentState()
         new_state, record = step(state, channel, AlgorithmParams(), np.random.default_rng(53))
         assert record.outcome == 0
         assert new_state.transform is state.transform
 
     def test_record_probability_matches_channel(self):
         channel = Channel(kind="adn", tau=1.0, t_dec=2.0)
-        state = init_agent()
+        state = AgentState()
         _, record = step(state, channel, AlgorithmParams(), np.random.default_rng(54))
         rho = density_from_pure(state.transform[:, 0])
         assert record.p_zero == measurement_prob_zero(channel, rho)
@@ -263,7 +269,7 @@ class TestRunRealization:
         channel = Channel(kind="adn", tau=1.0, t_dec=1.0)
         params = AlgorithmParams()
         rng = np.random.default_rng(55)
-        state = init_agent()
+        state = AgentState()
         for _ in range(200):
             state, _ = step(state, channel, params, rng)
             total = (
@@ -291,7 +297,7 @@ class TestRunRealization:
         channel = Channel(kind="noiseless", tau=1.0)
         params = AlgorithmParams(reward_rate=0.5, punish_rate=1.01)
         rng = np.random.default_rng(56)
-        state = init_agent()
+        state = AgentState()
         small_punishments = 0
         for _ in range(400):
             before = state
@@ -305,11 +311,11 @@ class TestRunRealization:
     def test_measurement_frequency_matches_probability(self):
         channel = Channel(kind="noiseless", tau=1.0)
         params = AlgorithmParams()
-        state = init_agent()
+        state = AgentState()
         rho = density_from_pure(state.transform[:, 0])
         prob = measurement_prob_zero(channel, rho)
         rng = np.random.default_rng(57)
-        draws = 100_000
+        draws = 20_000
         zeros = 0
         for _ in range(draws):
             _, record = step(state, channel, params, rng)  # state never advanced

@@ -17,7 +17,8 @@ from qrl.channels import (
     measurement_prob_zero,
     pure_prob_zero,
 )
-from qrl.linalg import IDENTITY, density_from_pure, is_density_matrix, pauli
+from oracles import is_density_matrix, pauli
+from qrl.linalg import IDENTITY, density_from_pure
 
 BASIS = default_energy_basis()
 EXCITED_PROJ = density_from_pure(BASIS.excited)
@@ -48,7 +49,6 @@ class TestEnergyBasis:
     def test_default_components(self):
         np.testing.assert_allclose(BASIS.excited, [0.5, math.sqrt(3) / 2], atol=1e-15)
         np.testing.assert_allclose(BASIS.ground, [-math.sqrt(3) / 2, 0.5], atol=1e-15)
-        assert BASIS.omega == 1.0
 
     def test_orthonormal(self):
         assert abs(np.vdot(BASIS.excited, BASIS.ground)) < 1e-12

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrl.cli import (
-    PlotSpec,
-    RunSpec,
-    SweepSpec,
-    main,
-    parse_args,
-    parse_sweep_text,
-    SweepFormatError,
-)
+from qrl.cli import RunSpec, SweepFormatError, main, parse_args, parse_sweep_text
 from qrl.ensemble import run_ensemble
 
 FIGS_DIR = Path(__file__).resolve().parent.parent / "figs"
@@ -129,9 +121,11 @@ class TestParseArgs:
         assert parse_args(["run", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
 
     def test_sweep_and_plot_specs(self):
-        assert parse_args(["sweep", "--config", "f.sweep"]) == SweepSpec(config="f.sweep")
-        spec = parse_args(["plot", "--csv", "a.csv", "b.csv", "--out", "x.svg"])
-        assert spec == PlotSpec(csv=["a.csv", "b.csv"], out="x.svg", column="F_max")
+        sweep = parse_args(["sweep", "--config", "f.sweep"])
+        assert vars(sweep) == {"command": "sweep", "config": "f.sweep", "out_dir": None}
+        plot = parse_args(["plot", "--csv", "a.csv", "b.csv", "--out", "x.svg"])
+        assert vars(plot) == {"command": "plot", "csv": ["a.csv", "b.csv"], "out": "x.svg",
+                              "column": "F_max"}
 
     def test_plot_requires_csv(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -251,6 +245,15 @@ class TestRunCommand:
         assert f"out and svg both write {path!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_relative_and_absolute_path_to_one_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", "a.csv", "--svg", str(tmp_path / "a.csv")])
+        assert excinfo.value.code == 2
+        assert "out and svg both write 'a.csv'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_runs_all_blocks(self, tmp_path):
@@ -324,6 +327,15 @@ class TestSweepCommand:
         assert "block 2: out and svg both write 'b.csv'" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
+    def test_outputs_compared_under_out_dir(self, tmp_path, monkeypatch, capsys):
+        # Block 2 names block 1's file by its absolute path under --out-dir.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        config = write_sweep(tmp_path, ["out = a2.csv", f"out = {tmp_path / 'o' / 'a2.csv'}"])
+        assert main(["sweep", "--config", str(config), "--out-dir", "o"]) == 2
+        assert "blocks 1 and 2 both write 'a2.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.sweep")]) == 1
         assert "qrl:" in capsys.readouterr().err
@@ -378,6 +390,25 @@ class TestPlotCommand:
         assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"qrl: {bad}: line 3 has 1 fields, header has 2\n"
         assert not out.exists()
+
+    def test_out_equal_to_an_input_exits_2(self, tmp_path, csv_files, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = csv_files[1].read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plot", "--csv", str(csv_files[0]), "series1.csv", "--out", str(csv_files[1])])
+        assert excinfo.value.code == 2
+        assert "is one of the csv inputs" in capsys.readouterr().err
+        assert csv_files[1].read_bytes() == before
+
+    def test_unwritable_out_exits_1_before_reading(self, tmp_path, csv_files, monkeypatch, capsys):
+        def must_not_read(path):
+            pytest.fail("an input was read")
+
+        monkeypatch.setattr("qrl.cli.read_csv", must_not_read)
+        out = tmp_path / "missing-dir" / "x.svg"
+        assert main(["plot", "--csv", *map(str, csv_files), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
 
 
 class TestCheckedInSweeps:

@@ -6,19 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qrl.linalg import (
-    ATOL,
+from oracles import (
     ATOL_COMPOSED,
-    IDENTITY,
-    axis_rotation,
     conjugate,
-    density_from_pure,
     hermitian_eigenvalues,
     is_density_matrix,
-    is_normalized,
     is_unitary,
-    overlap_magnitude,
     pauli,
+)
+from qrl.linalg import (
+    ATOL,
+    IDENTITY,
+    axis_rotation,
+    density_from_pure,
+    is_normalized,
+    overlap_magnitude,
 )
 
 EXCITED = np.array([0.5, math.sqrt(3) / 2], dtype=complex)

@@ -139,6 +139,12 @@ class TestEmitSvg:
         with pytest.raises(ValueError, match="lengths differ"):
             emit_svg([("bad", np.arange(3), np.arange(4))], tmp_path / "never.svg")
 
+    def test_non_finite_values_write_nothing(self, tmp_path):
+        # The document is rendered before the atomic write opens its temporary file.
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_svg([("nan", np.arange(2), np.array([0.5, math.nan]))], tmp_path / "never.svg")
+        assert list(tmp_path.iterdir()) == []
+
     def test_escapes_labels(self):
         buffer = io.StringIO()
         emit_svg([("a<b>&c", np.arange(2), np.arange(2.0))], buffer, title="t<&>")
