@@ -169,19 +169,21 @@ def run_realization(
 
 
 def run_lockstep(
-    channel: Channel, params: AlgorithmParams, seeds: list[int], fold, *, dual_basis: bool = False
+    channels: list, params: AlgorithmParams, seeds: list[int], fold, *, dual_basis: bool = False
 ) -> np.ndarray:
     """Run one realization per seed, all advanced together step by step.
 
-    P(0) is ``pure_prob_zero`` of the tracked fidelities, both recomputed
-    only for kicked realizations. Generators stream through buffers of
-    ``4 * BLOCK`` uniforms (the most a block reads), which cursors read in
-    the frozen order of ``step``; angles are ``lo + (hi - lo) * u`` as in
-    ``Generator.uniform``. ``fold(k0, block)`` gets iterations k0:k0+b as a
-    reused (n, columns, b) buffer, one (columns, b) trajectory block per
-    realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to
-    ``run_realization``. Returns the draws each realization used:
-    iterations + 3 * punishments.
+    ``channels`` holds (channel, count) runs that cover the seeds in order
+    and share one energy basis. P(0) is ``pure_prob_zero`` of the tracked
+    fidelities, both recomputed only for kicked realizations, with the terms
+    of one channel or per-realization arrays of several. Generators stream
+    through buffers of ``4 * BLOCK`` uniforms (the most a block reads),
+    which cursors read in the frozen order of ``step``; angles are
+    ``lo + (hi - lo) * u`` as in ``Generator.uniform``. ``fold(k0, block)``
+    gets iterations k0:k0+b as a reused (n, columns, b) buffer, one
+    (columns, b) trajectory block per realization, of w, f_e, f_g, f_max
+    [, f_e_b1, f_g_b1], bit-equal to ``run_realization``. Returns the draws
+    each realization used: iterations + 3 * punishments.
     """
     n = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -194,14 +196,17 @@ def run_lockstep(
     w, p_zero = state[0], np.empty(n)
     # Overlap readouts: their state rows, targets and the basis bits they prepare from.
     rows = np.array([1, 2, 4, 5][: len(state) - 2])
-    targets = np.array([channel.basis.excited, channel.basis.ground] * 2)[: len(rows)]
+    targets = np.array([channels[0][0].basis.excited, channels[0][0].basis.ground] * 2)[: len(rows)]
     bits = (np.array([0, 0, 1, 1]) ^ params.basis_bit)[: len(rows)]
+    terms = [channel.prob_zero_terms() for channel, _ in channels]  # python scalars, per channel
+    realization_terms = np.repeat(np.array(terms).T, [m for _, m in channels], axis=1)  # (3, n)
 
     def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
         fidelity = overlap_magnitude(targets, unitaries, bits).T
         state[rows[:, None], at] = fidelity
         state[3, at] = np.maximum(fidelity[0], fidelity[1])
-        p_zero[at] = pure_prob_zero(channel, fidelity[0] ** 2, fidelity[1] ** 2)
+        at_terms = terms[0] if len(channels) == 1 else realization_terms[:, at]
+        p_zero[at] = pure_prob_zero(at_terms, fidelity[0] ** 2, fidelity[1] ** 2)
 
     refresh(np.arange(n), transform)
     block = np.empty((n, len(state), BLOCK))

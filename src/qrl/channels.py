@@ -104,6 +104,11 @@ class Channel:
         """Coherence survival exp(-tau/t_dec) over one evolution step."""
         return math.exp(-self.tau / self.t_dec)
 
+    def prob_zero_terms(self) -> tuple[float, float, bool]:
+        """Coefficients (pe'/pe, 2*s*cos(tau), is adn) of :func:`pure_prob_zero`; s: decay factor."""
+        survive, adn = self.decay_factor(), self.kind == "adn"
+        return (survive * survive if adn else 1.0), 2.0 * survive * math.cos(self.tau), adn
+
 
 def hamiltonian_unitary(basis: EnergyBasis, tau: float) -> np.ndarray:
     """Propagator exp(-i H tau) in the computational basis.
@@ -184,17 +189,15 @@ def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def pure_prob_zero(channel: Channel, excited_pop, ground_pop):
+def pure_prob_zero(terms, excited_pop, ground_pop):
     """:func:`measurement_prob_zero` of pure states from their energy populations pe, pg.
 
     As |rho_eg|^2 = pe*pg, P(0) = pe*pe' + pg*pg' + 2*s*cos(tau)*pe*pg
     with evolved populations pe', pg' and decay factor s, clamped into [0, 1].
+    ``terms`` are :meth:`Channel.prob_zero_terms`, or arrays of them, one per population.
     """
-    survive = channel.decay_factor()
-    excited_out, ground_out = excited_pop, ground_pop
-    if channel.kind == "adn":
-        excited_out = excited_pop * (survive * survive)
-        ground_out = 1.0 - excited_out
-    coherence = 2.0 * survive * math.cos(channel.tau)
+    survival, coherence, adn = terms
+    excited_out = excited_pop * survival
+    ground_out = np.where(adn, 1.0 - excited_out, ground_pop)
     raw = excited_pop * excited_out + ground_pop * ground_out + coherence * excited_pop * ground_pop
     return np.minimum(np.maximum(raw, 0.0), 1.0)

@@ -14,8 +14,11 @@ a usage error; paths are compared absolute, after joining ``--out-dir``.
 
 The sweep config file holds flat ``key = value`` lines with the same keys
 as the run flags; blank lines separate run blocks and ``#`` starts a
-comment. Every block needs an ``out`` path for its CSV. A block that
-fails to compute or write is reported and does not stop the others.
+comment. Every block needs a non-empty ``out`` path for its CSV. Narrow
+consecutive blocks with equal learning parameters and dual_basis share one
+lockstep engine run, with unchanged bytes; each CSV is written once its
+block is known. A block that fails to compute or write is reported and
+does not stop the others.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 
 from .agent import AlgorithmParams
 from .channels import Channel
-from .ensemble import EnsembleConfig, run_ensemble
+from .ensemble import EnsembleConfig, run_ensemble, run_ensembles
 from .output import emit_csv, emit_svg, read_csv
 
 _KIND_BY_NOISE = {"none": "noiseless", "pdn": "pdn", "adn": "adn"}
@@ -89,7 +92,9 @@ class RunSpec:
     svg: str | None = None
 
     def to_config(self) -> EnsembleConfig:
-        """The ensemble cell; ValueError on a bad parameter."""
+        """The ensemble cell; ValueError on a bad parameter or an empty output path."""
+        if "" in (self.out, self.svg):
+            raise ValueError("out and svg paths must not be empty")
         return EnsembleConfig(
             channel=Channel(kind=_KIND_BY_NOISE[self.noise], tau=self.ttau, t_dec=self.tdec),
             params=AlgorithmParams(
@@ -215,24 +220,22 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
     return specs
 
 
-def _check_destination(path: Path) -> None:
-    """Raise OSError, naming ``path``, unless it is a non-directory inside an existing directory."""
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    if not path.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+def _check_destinations(base: Path, *paths: str | None) -> bool:
+    """True, or OSError naming the first of ``paths`` under ``base`` that is a directory or has none."""
+    for path in (base / path for path in paths if path is not None):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    return True
 
 
-def _run_cell(spec: RunSpec, base: Path) -> None:
-    """Check the destinations under ``base``, then compute one cell and write it."""
-    out, svg = (None if path is None else base / path for path in (spec.out, spec.svg))
-    for path in filter(None, (out, svg)):
-        _check_destination(path)
-    stats = run_ensemble(spec.to_config())
-    emit_csv(stats, sys.stdout if out is None else out)
-    if svg is not None:
+def _write(spec: RunSpec, stats, base: Path) -> None:
+    emit_csv(stats, sys.stdout if spec.out is None else base / spec.out)
+    if spec.svg is not None:
         label = f"{spec.noise} ttau={spec.ttau:g} tdec={spec.tdec:g}"
-        emit_svg([(label, list(range(1, stats.iterations + 1)), stats.f_max)], svg, y_label="F_max")
+        series = [(label, list(range(1, stats.iterations + 1)), stats.f_max)]
+        emit_svg(series, base / spec.svg, y_label="F_max")
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -240,18 +243,29 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     runs = parse_sweep_text(Path(ns.config).read_text(encoding="utf-8"), base)
     base.mkdir(parents=True, exist_ok=True)
 
-    failures = 0
-    for i, run in enumerate(runs, start=1):
+    failed = []
+
+    def attempt(i, action):
         try:
-            _run_cell(run, base)
+            return action()
         except Exception as exc:  # one failed block, compute or write, must not stop the rest
-            failures += 1
-            print(f"qrl: sweep block {i} ({run.out!r}) failed: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+            failed.append(i)
+            print(f"qrl: sweep block {i} ({runs[i - 1].out!r}) failed: {exc}", file=sys.stderr)
+
+    ready = [(i, run) for i, run in enumerate(runs, start=1)
+             if attempt(i, lambda: _check_destinations(base, run.out, run.svg))]
+    try:
+        for stats in run_ensembles([run.to_config() for _, run in ready]):
+            i, run = ready.pop(0)
+            attempt(i, lambda: _write(run, stats, base))
+    except Exception:  # a shared chunk failed: the blocks not yet written run one by one
+        for i, run in ready:
+            attempt(i, lambda: _write(run, next(run_ensembles([run.to_config()])), base))
+    return 1 if failed else 0
 
 
 def _cmd_plot(ns: argparse.Namespace) -> int:
-    _check_destination(Path(ns.out))
+    _check_destinations(Path("."), ns.out)
     series = []
     for path in ns.csv:
         columns = read_csv(path)
@@ -267,7 +281,8 @@ def main(argv=None) -> int:
     spec = parse_args(argv)
     try:
         if isinstance(spec, RunSpec):
-            _run_cell(spec, Path("."))
+            _check_destinations(Path("."), spec.out, spec.svg)
+            _write(spec, run_ensemble(spec.to_config()), Path("."))
             return 0
         if spec.command == "sweep":
             return _cmd_sweep(spec)

@@ -4,15 +4,16 @@ Realization ``i`` of an ensemble runs with its own derived seed
 ``mix_seed(master_seed, i)`` so any single realization can be reproduced
 in isolation. The realizations run in one process, in chunks that the
 lockstep engine ``run_lockstep`` advances together and hands back in
-blocks of iterations, one row block per realization. Aggregation streams:
-each block's running means and scatter are updated realization by
-realization in index order, so the bits never depend on chunk or block size.
+blocks of iterations, one row block per realization; one chunk may hold
+several narrow cells (``run_ensembles``). Aggregation streams: each block's
+running means and scatter are updated realization by realization in index
+order, so the bits never depend on chunk or block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +24,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Bytes of the draw buffers and trajectory block of a chunk of realizations:
 # 1024 realizations at 4 columns, 819 at 6, so a 500-realization cell runs as
-# one chunk. It bounds peak memory; the chunk size never changes the output.
+# one chunk. It bounds peak memory, and so the moments of the cells that share
+# a chunk; the chunk size never changes the output.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -119,28 +121,55 @@ class _RunningMoments:
             m2 += np.multiply(delta, np.subtract(values, mean, out=scratch), out=scratch)
         self.mean[:, at], self._m2[:, at] = mean, m2
 
-    def standard_error(self, count: int) -> np.ndarray:
-        if count < 2:
-            return np.zeros_like(self.mean)
-        variance = np.maximum(self._m2, 0.0) / (count - 1)
-        return np.sqrt(variance / count)
+    def stats(self, count: int) -> EnsembleStats:
+        errors = np.zeros_like(self.mean)
+        if count >= 2:
+            errors = np.sqrt(np.maximum(self._m2, 0.0) / (count - 1) / count)
+        # EnsembleStats field order: means, then errors, of w, f_e, f_g, f_max; then the *_b1 pair.
+        return EnsembleStats(count, *self.mean[:4], *errors[:4], *self.mean[4:], *errors[4:])
+
+
+def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
+    """Run cells in order, yielding each one's stats as soon as its last chunk is folded.
+
+    A cell joins the open chunk whole if it fits in the room left, its
+    moments fit beside the chunk's other cells' in ``_CHUNK_BYTES``, and it
+    shares the chunk's params, dual_basis and energy basis, so narrow cells
+    pay each step's fixed cost once per chunk. Any other cell starts a new
+    chunk and is split as it would be alone. Each cell's stats depend only
+    on its configuration, never on the chunks: they equal ``run_ensemble``.
+    """
+
+    def run(chunk):  # segments (cfg, moments, first realization, count)
+        def fold(k0, block):  # each segment's rows into its cell's moments, in index order
+            for (_, moments, first, _), rows in zip(chunk, np.split(block, np.cumsum(counts)[:-1])):
+                moments.add_block(first, k0, rows)
+
+        counts, head = [count for *_, count in chunk], chunk[0][0]
+        seeds = [mix_seed(cfg.master_seed, i)
+                 for cfg, _, first, count in chunk for i in range(first, first + count)]
+        runs = [(cfg.channel, count) for cfg, *_, count in chunk]
+        run_lockstep(runs, head.params, seeds, fold, dual_basis=head.dual_basis)
+        return [moments.stats(cfg.n_realizations)
+                for cfg, moments, first, count in chunk if first + count == cfg.n_realizations]
+
+    chunk, room, key = [], 0, None
+    for cfg in cfgs:
+        columns, n, basis = 6 if cfg.dual_basis else 4, cfg.n_realizations, cfg.channel.basis
+        capacity = max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + columns)))
+        shared = cfg.params, cfg.dual_basis, basis.excited.tobytes(), basis.ground.tobytes()
+        moments = _RunningMoments(columns, cfg.params.iterations)
+        cell_bytes = moments.mean.nbytes * 2  # its mean and scatter
+        for first in range(0, n, capacity):
+            count = min(capacity, n - first)
+            if count > room or shared != key or (len(chunk) + 1) * cell_bytes > _CHUNK_BYTES:
+                yield from run(chunk) if chunk else ()
+                chunk, room, key = [], capacity, shared
+            chunk.append((cfg, moments, first, count))
+            room -= count
+    yield from run(chunk) if chunk else ()
 
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
-    """Run all realizations of a cell and aggregate their statistics.
-
-    The output depends only on the configuration (including
-    ``master_seed``), never on how the realizations are chunked.
-    """
-    n = cfg.n_realizations
-    n_columns = 6 if cfg.dual_basis else 4
-    moments = _RunningMoments(n_columns, cfg.params.iterations)
-    chunk = max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + n_columns)))
-    for start in range(0, n, chunk):
-        seeds = [mix_seed(cfg.master_seed, i) for i in range(start, min(start + chunk, n))]
-        fold = partial(moments.add_block, start)
-        run_lockstep(cfg.channel, cfg.params, seeds, fold, dual_basis=cfg.dual_basis)
-
-    # EnsembleStats field order: means, then errors, of w, f_e, f_g, f_max; then of the *_b1 pair.
-    errors = moments.standard_error(n)
-    return EnsembleStats(n, *moments.mean[:4], *errors[:4], *moments.mean[4:], *errors[4:])
+    """Run all realizations of a cell and aggregate their statistics: ``run_ensembles`` of one."""
+    return next(run_ensembles([cfg]))

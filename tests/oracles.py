@@ -1,8 +1,8 @@
 """Reference checks on 2x2 states and gates that the tests use and ``qrl`` does not.
 
-Pauli matrices, conjugation and the unitarity and density-matrix checks
-sit here, next to the tests, so that the package exports only what it
-runs.
+Pauli matrices, conjugation, the unitarity and density-matrix checks and
+the random state and gate samplers sit here, next to the tests, so that
+the package exports only what it runs.
 """
 
 from __future__ import annotations
@@ -50,3 +50,17 @@ def is_density_matrix(rho: np.ndarray, atol: float = ATOL) -> bool:
         return False
     low, _ = hermitian_eigenvalues(rho)
     return low >= -atol
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish 2x2 unitary from a QR decomposition of a Gaussian matrix."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_density(rng: np.random.Generator) -> np.ndarray:
+    """A full-rank density matrix A A^dagger / Tr(A A^dagger), A complex Gaussian."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real

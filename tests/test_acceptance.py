@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hermitian_eigenvalues
+from oracles import hermitian_eigenvalues, random_density
 from qrl import ensemble
 from qrl.agent import BLOCK, AlgorithmParams, run_realization
 from qrl.channels import (
@@ -66,12 +66,6 @@ def cell(kind: str, tau: float, t_dec: float):
 
 def combined_se(a: float, b: float) -> float:
     return math.hypot(a, b)
-
-
-def random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 def report(criterion: int, detail: str) -> None:

@@ -348,7 +348,7 @@ class TestRunLockstep:
             assert k0 == sum(b.shape[2] for b in blocks) and 1 <= block.shape[2] <= BLOCK
             blocks.append(block.copy())  # the engine reuses its buffer
 
-        draws = run_lockstep(channel, params, seeds, fold, dual_basis=dual)
+        draws = run_lockstep([(channel, len(seeds))], params, seeds, fold, dual_basis=dual)
         trajectories = np.concatenate(blocks, axis=2)
         assert trajectories.shape == (len(seeds), 6 if dual else 4, params.iterations)
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]

@@ -17,18 +17,12 @@ from qrl.channels import (
     measurement_prob_zero,
     pure_prob_zero,
 )
-from oracles import is_density_matrix, pauli
+from oracles import is_density_matrix, pauli, random_density
 from qrl.linalg import IDENTITY, density_from_pure
 
 BASIS = default_energy_basis()
 EXCITED_PROJ = density_from_pure(BASIS.excited)
 GROUND_PROJ = density_from_pure(BASIS.ground)
-
-
-def random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_channel(rng, kind=None):
@@ -312,6 +306,22 @@ class TestPureProbZero:
     def test_matches_matrix_form(self, channel, psi):
         excited = abs(np.vdot(channel.basis.excited, psi)) ** 2
         ground = abs(np.vdot(channel.basis.ground, psi)) ** 2
-        prob = pure_prob_zero(channel, excited, ground)
+        prob = pure_prob_zero(channel.prob_zero_terms(), excited, ground)
         assert 0.0 <= prob <= 1.0
         assert abs(prob - measurement_prob_zero(channel, density_from_pure(psi))) <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(channels, pure_states()), min_size=1, max_size=12))
+    def test_per_realization_terms_equal_each_channel_bit_for_bit(self, pairs):
+        # One population pair per channel, evaluated together with per-realization
+        # term arrays as the lockstep engine does for a chunk of several cells.
+        excited = np.array([abs(np.vdot(c.basis.excited, psi)) ** 2 for c, psi in pairs])
+        ground = np.array([abs(np.vdot(c.basis.ground, psi)) ** 2 for c, psi in pairs])
+        terms = np.array([channel.prob_zero_terms() for channel, _ in pairs]).T
+        together = pure_prob_zero(terms, excited, ground)
+        alone = [pure_prob_zero(c.prob_zero_terms(), excited[j : j + 1], ground[j : j + 1])
+                 for j, (c, _) in enumerate(pairs)]
+        assert together.tobytes() == np.concatenate(alone).tobytes()
+        scalar = [pure_prob_zero(c.prob_zero_terms(), float(excited[j]), float(ground[j]))
+                  for j, (c, _) in enumerate(pairs)]
+        assert together.tobytes() == np.array(scalar).tobytes()

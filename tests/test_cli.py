@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrl.cli import RunSpec, SweepFormatError, main, parse_args, parse_sweep_text
-from qrl.ensemble import run_ensemble
+from qrl.ensemble import run_ensembles
 
 FIGS_DIR = Path(__file__).resolve().parent.parent / "figs"
 
@@ -116,6 +116,16 @@ class TestParseArgs:
             parse_args(argv)
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_empty_output_path_exits_2(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--iters", "2", "--realizations", "2", flag, ""])
+        assert excinfo.value.code == 2
+        assert "out and svg paths must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_accepts_largest_seed(self):
         assert parse_args(["run", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
@@ -277,14 +287,35 @@ class TestSweepCommand:
                      "--realizations", "3", "--seed", "1", "--out", str(tmp_path / "run.csv")]) == 0
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
 
+    def test_batched_blocks_match_run_command(self, tmp_path):
+        # Blocks 1-3 share one engine run; block 4 is dual-basis and block 5 has its own rates.
+        blocks = [{"noise": "adn", "tdec": "1"}, {"noise": "pdn", "tdec": "10"},
+                  {"noise": "none", "ttau": "2pi"}, {"noise": "adn", "dual_basis": "true"},
+                  {"noise": "pdn", "reward": "0.8"}]
+        config = tmp_path / "grid.sweep"
+        config.write_text("\n".join(
+            "".join(f"{key} = {value}\n" for key, value in block.items())
+            + f"iters = 10\nrealizations = 3\nseed = {i}\nout = b{i}.csv\n"
+            for i, block in enumerate(blocks, start=1)
+        ))
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        for i, block in enumerate(blocks, start=1):
+            flags = [arg for key, value in block.items()
+                     for arg in (["--dual-basis"] if key == "dual_basis" else [f"--{key}", value])]
+            alone = tmp_path / f"alone{i}.csv"
+            assert main(["run", *flags, "--iters", "10", "--realizations", "3", "--seed", str(i),
+                         "--out", str(alone)]) == 0
+            assert (tmp_path / f"b{i}.csv").read_bytes() == alone.read_bytes()
+
     def test_preserves_order_and_reproduces(self, tmp_path, monkeypatch):
         seeds = []
 
-        def recording(cfg):
-            seeds.append(cfg.master_seed)
-            return run_ensemble(cfg)
+        def recording(cfgs):
+            for cfg, stats in zip(cfgs, run_ensembles(cfgs)):
+                seeds.append(cfg.master_seed)
+                yield stats
 
-        monkeypatch.setattr("qrl.cli.run_ensemble", recording)
+        monkeypatch.setattr("qrl.cli.run_ensembles", recording)
         config = write_sweep(tmp_path, ["out = b1.csv", "out = b2.csv", "out = b3.csv"])
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["sweep", "--config", str(config), "--out-dir", str(first)]) == 0
@@ -295,16 +326,21 @@ class TestSweepCommand:
         assert (first / "b1.csv").read_bytes() != (first / "b2.csv").read_bytes()
 
     def test_failed_compute_does_not_stop_other_blocks(self, tmp_path, monkeypatch, capsys):
-        def fail_second(cfg):
-            if cfg.master_seed == 2:
-                raise RuntimeError("synthetic cell failure")
-            return run_ensemble(cfg)
+        calls = []
 
-        monkeypatch.setattr("qrl.cli.run_ensemble", fail_second)
+        def fail_second(cfgs):  # a shared run fails at block 2, and so does block 2 alone
+            calls.append([cfg.master_seed for cfg in cfgs])
+            for cfg, stats in zip(cfgs, run_ensembles(cfgs)):
+                if cfg.master_seed == 2:
+                    raise RuntimeError("synthetic cell failure")
+                yield stats
+
+        monkeypatch.setattr("qrl.cli.run_ensembles", fail_second)
         config = write_sweep(tmp_path, ["out = b1.csv", "out = b2.csv", "out = b3.csv"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "block 2 ('b2.csv') failed: synthetic cell failure" in err
+        assert calls == [[1, 2, 3], [2], [3]]  # the blocks not yet written rerun one by one
         assert [(tmp_path / f"b{i}.csv").exists() for i in (1, 2, 3)] == [True, False, True]
 
     def test_failed_write_does_not_stop_other_blocks(self, tmp_path, capsys):
@@ -315,13 +351,13 @@ class TestSweepCommand:
         assert (tmp_path / "b1.csv").is_file() and (tmp_path / "b3.csv").is_file()
 
     def test_duplicate_outputs_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
         config = write_sweep(tmp_path, ["out = a.csv\nsvg = f.svg", "out = b.csv\nsvg = f.svg"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert "blocks 1 and 2 both write 'f.svg'" in capsys.readouterr().err
 
     def test_csv_and_svg_on_one_path_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
         config = write_sweep(tmp_path, ["out = a.csv", "out = b.csv\nsvg = b.csv"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert "block 2: out and svg both write 'b.csv'" in capsys.readouterr().err
@@ -330,7 +366,7 @@ class TestSweepCommand:
     def test_outputs_compared_under_out_dir(self, tmp_path, monkeypatch, capsys):
         # Block 2 names block 1's file by its absolute path under --out-dir.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
         config = write_sweep(tmp_path, ["out = a2.csv", f"out = {tmp_path / 'o' / 'a2.csv'}"])
         assert main(["sweep", "--config", str(config), "--out-dir", "o"]) == 2
         assert "blocks 1 and 2 both write 'a2.csv'" in capsys.readouterr().err
@@ -345,6 +381,14 @@ class TestSweepCommand:
         config.write_text("voltage = 9\n")
         assert main(["sweep", "--config", str(config)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["out =", "out = b.csv\nsvg ="])
+    def test_empty_output_path_exits_2(self, line, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
+        config = write_sweep(tmp_path, ["out = a.csv", line])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "block 2: out and svg paths must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_block_without_out_exits_2(self, tmp_path, capsys):
         config = tmp_path / "noout.sweep"

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from qrl.agent import BLOCK, AlgorithmParams, run_realization
-from qrl.channels import Channel, default_energy_basis
+from qrl.channels import Channel, EnergyBasis, default_energy_basis
 from qrl import ensemble
-from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble
+from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble, run_ensembles
 from qrl.linalg import overlap_magnitude
 
 BASIS = default_energy_basis()
+STAT_NAMES = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
+              "f_e_b1", "f_g_b1", "se_f_e_b1", "se_f_g_b1")
+FLIPPED = EnergyBasis(excited=BASIS.ground, ground=BASIS.excited)
 SQRT3_HALF = math.sqrt(3) / 2
 
 
@@ -78,8 +81,6 @@ class TestRunEnsemble:
         assert np.all(stats.se_w == 0.0)
 
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
-        names = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
-                 "f_e_b1", "f_g_b1", "se_f_e_b1", "se_f_g_b1")
         for dual, columns in ((False, 4), (True, 6)):
             # Two full blocks of iterations and a partial third.
             cfg = small_config(n=30, iters=2 * BLOCK + 22, seed=8, dual=dual)
@@ -88,7 +89,7 @@ class TestRunEnsemble:
             for chunk in (1, 7, 29):
                 monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * BLOCK * (4 + columns))
                 chunked = run_ensemble(cfg)
-                for name in names:
+                for name in STAT_NAMES:
                     np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
             monkeypatch.undo()
 
@@ -120,6 +121,95 @@ class TestRunEnsemble:
     def test_plain_run_has_no_dual_columns(self):
         stats = run_ensemble(small_config(n=5, iters=10))
         assert stats.f_e_b1 is None and stats.se_f_g_b1 is None
+
+
+def raw_bytes(stats):
+    """Every array of ``stats``, in field order, as raw bytes."""
+    return [getattr(stats, name).tobytes() for name in STAT_NAMES if getattr(stats, name) is not None]
+
+
+class TestRunEnsembles:
+    # Cells of one sweep batched through shared lockstep chunks, against
+    # ``run_ensemble`` of each cell alone, by raw bytes.
+    CHANNELS = [
+        ("noiseless", 1.0, math.inf), ("pdn", 2 * math.pi, 1.0), ("adn", 0.37, 10.0),
+        ("adn", 1.0, math.inf), ("pdn", 0.37, 10.0), ("noiseless", 2 * math.pi, math.inf),
+        ("adn", 2 * math.pi, 1.0), ("pdn", 1.0, math.inf), ("adn", 1.0, 1.0),
+    ]
+    SIZES = [1, 5, 37, 2, 13, 1, 30, 7, 20]
+
+    def cells(self, dual, iters=BLOCK + 6):  # a full block of iterations and a partial one
+        return [
+            small_config(kind, tau, t_dec, n=n, iters=iters, seed=100 + i, dual=dual)
+            for i, ((kind, tau, t_dec), n) in enumerate(zip(self.CHANNELS, self.SIZES))
+        ]
+
+    def run_recorded(self, cfgs, monkeypatch, chunk):
+        """Stats of ``cfgs`` batched in chunks of ``chunk`` realizations, and the runs of each chunk."""
+        columns = 6 if cfgs[0].dual_basis else 4
+        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * BLOCK * (4 + columns))
+        engine, chunks = ensemble.run_lockstep, []
+
+        def recorded(channels, params, seeds, fold, **kwargs):
+            chunks.append([(channel.kind, count) for channel, count in channels])
+            return engine(channels, params, seeds, fold, **kwargs)
+
+        monkeypatch.setattr(ensemble, "run_lockstep", recorded)
+        stats = list(run_ensembles(cfgs))
+        monkeypatch.undo()
+        return stats, chunks
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_batched_cells_equal_cells_alone(self, dual, monkeypatch):
+        cfgs = self.cells(dual)
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=16)
+        assert [raw_bytes(s) for s in stats] == alone
+        # Whole cells pack while they fit; a cell wider than the room left starts
+        # a new chunk, and one wider than a chunk is split, its last part left open.
+        assert [[count for _, count in runs] for runs in chunks] == [
+            [1, 5], [16], [16], [5, 2], [13, 1], [16], [14], [7], [16], [4],
+        ]
+        assert chunks[0] == [("noiseless", 1), ("pdn", 5)] and chunks[3] == [("adn", 5), ("adn", 2)]
+
+    def test_cells_wider_than_a_chunk_are_split_as_alone(self, monkeypatch):
+        cfgs = [small_config("adn", n=9, seed=1), small_config("pdn", n=3, seed=2),
+                small_config("noiseless", n=4, seed=3)]
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=4)
+        assert [raw_bytes(s) for s in stats] == alone
+        assert chunks == [[("adn", 4)], [("adn", 4)], [("adn", 1), ("pdn", 3)], [("noiseless", 4)]]
+
+    def test_cells_that_differ_in_params_or_dual_basis_do_not_share_a_chunk(self, monkeypatch):
+        cfgs = [small_config(n=3, seed=1), small_config(n=3, seed=2, dual=True),
+                small_config(n=3, seed=3, iters=61), small_config(n=3, seed=4, iters=61),
+                EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0, basis=FLIPPED),
+                               params=AlgorithmParams(iterations=61), n_realizations=3)]
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=100)
+        assert [raw_bytes(s) for s in stats] == alone
+        assert [[count for _, count in runs] for runs in chunks] == [[3], [3], [3, 3], [3]]
+
+    def test_cells_share_a_chunk_only_while_their_moments_fit(self, monkeypatch):
+        # At 700 iterations a cell's mean and scatter take 44 800 bytes, so the
+        # buffers of 27 realizations (110 592 bytes) leave room for two cells' moments.
+        cfgs = [small_config(n=2, iters=700, seed=i) for i in range(5)]
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27)
+        assert [raw_bytes(s) for s in stats] == alone
+        assert [[count for _, count in runs] for runs in chunks] == [[2, 2], [2, 2], [2]]
+
+    def test_yields_each_cell_once_its_last_chunk_is_folded(self, monkeypatch):
+        cfgs = [small_config(n=2, seed=1), small_config(n=2, seed=2), small_config(n=9, seed=3)]
+        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", 4 * 8 * BLOCK * 8)
+        engine, calls = ensemble.run_lockstep, []
+        monkeypatch.setattr(ensemble, "run_lockstep",
+                            lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
+        results = run_ensembles(cfgs)
+        assert next(results).n_realizations == 2 and len(calls) == 1  # first chunk: cells 1 and 2
+        assert next(results).n_realizations == 2 and len(calls) == 1
+        assert next(results).n_realizations == 9 and len(calls) == 4  # cell 3 in chunks of 4, 4, 1
+        assert list(results) == []
 
 
 class TestDualBasisFidelities:

@@ -13,6 +13,8 @@ from oracles import (
     is_density_matrix,
     is_unitary,
     pauli,
+    random_density,
+    random_unitary,
 )
 from qrl.linalg import (
     ATOL,
@@ -25,19 +27,6 @@ from qrl.linalg import (
 
 EXCITED = np.array([0.5, math.sqrt(3) / 2], dtype=complex)
 GROUND = np.array([-math.sqrt(3) / 2, 0.5], dtype=complex)
-
-
-def random_unitary(rng):
-    """Haar-ish 2x2 unitary from a QR decomposition of a Gaussian matrix."""
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestPauli:
