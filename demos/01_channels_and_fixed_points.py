@@ -1,6 +1,6 @@
 """Evolution channels and their stationary states.
 
-Builds the three channel kinds over the bundled energy eigenbasis and
+Builds the three channel kinds over the fixed Hamiltonian's eigenbasis and
 shows the structure the learning protocol exploits: under phase damping
 both eigenprojectors are fixed points, under amplitude damping only the
 ground state survives, and at the degenerate evolution time 2*pi the
@@ -14,20 +14,19 @@ import numpy as np
 from qrl import (
     Channel,
     apply_channel,
-    default_energy_basis,
     density_from_pure,
     hamiltonian_unitary,
     kraus_pair,
     measurement_prob_zero,
 )
+from qrl.channels import EXCITED, GROUND
 
-basis = default_energy_basis()
-excited = density_from_pure(basis.excited)
-ground = density_from_pure(basis.ground)
+excited = density_from_pure(EXCITED)
+ground = density_from_pure(GROUND)
 
-print("energy eigenbasis (computational components)")
-print("  excited:", np.round(basis.excited, 6))
-print("  ground: ", np.round(basis.ground, 6))
+print("energy eigenbasis of H = (sqrt(3) X - Z) / 4 (computational components)")
+print("  excited:", np.round(EXCITED, 6))
+print("  ground: ", np.round(GROUND, 6))
 
 print("\nKraus pair completeness, adn at tau=1, t_dec=2:")
 channel = Channel(kind="adn", tau=1.0, t_dec=2.0)
@@ -47,7 +46,7 @@ print("\nexcited population decay under adn (tau/t_dec = 0.5 per step):")
 channel = Channel(kind="adn", tau=0.5, t_dec=1.0)
 state = excited.copy()
 for step_index in range(5):
-    population = np.vdot(basis.excited, state @ basis.excited).real
+    population = np.vdot(EXCITED, state @ EXCITED).real
     print(f"  after {step_index} steps: {population:.6f}"
           f"  (analytic {math.exp(-step_index):.6f})")
     state = apply_channel(channel, state)
@@ -65,5 +64,5 @@ for kind, t_dec in (("noiseless", math.inf), ("pdn", 1.0)):
 print("  (phase damping keeps P(0) < 1 for non-stationary states, which")
 print("   is exactly what lets the agent keep learning at tau = 2*pi)")
 
-propagator = hamiltonian_unitary(basis, 2 * math.pi)
+propagator = hamiltonian_unitary(2 * math.pi)
 print("\n  max |U(2*pi) + I| =", np.max(np.abs(propagator + np.eye(2))))

@@ -8,17 +8,9 @@ aggregates learning curves over many seeded realizations.
 """
 
 from .agent import AgentState, AlgorithmParams, IterationRecord, run_realization, step
-from .channels import (
-    Channel,
-    EnergyBasis,
-    apply_channel,
-    default_energy_basis,
-    hamiltonian_unitary,
-    kraus_pair,
-    measurement_prob_zero,
-)
+from .channels import Channel, apply_channel, hamiltonian_unitary, kraus_pair, measurement_prob_zero
 from .ensemble import EnsembleConfig, EnsembleStats, mix_seed, run_ensemble
-from .linalg import axis_rotation, density_from_pure, is_normalized, overlap_magnitude
+from .linalg import axis_rotation, density_from_pure, overlap_magnitude
 from .output import emit_csv, emit_svg, read_csv
 
 __version__ = "0.1.0"
@@ -27,18 +19,15 @@ __all__ = [
     "AgentState",
     "AlgorithmParams",
     "Channel",
-    "EnergyBasis",
     "EnsembleConfig",
     "EnsembleStats",
     "IterationRecord",
     "apply_channel",
     "axis_rotation",
-    "default_energy_basis",
     "density_from_pure",
     "emit_csv",
     "emit_svg",
     "hamiltonian_unitary",
-    "is_normalized",
     "kraus_pair",
     "measurement_prob_zero",
     "mix_seed",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, measurement_prob_zero, pure_prob_zero
+from .channels import EXCITED, GROUND, Channel, measurement_prob_zero, pure_prob_zero
 from .linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitude
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
@@ -127,9 +127,8 @@ def step(
         angles = [rng.uniform(-half_width, half_width) for _ in range(3)]
         transform_next = state.transform @ _rotation(angles)
 
-    basis = channel.basis
-    f_e = overlap_magnitude(basis.excited, transform_next, params.basis_bit)
-    f_g = overlap_magnitude(basis.ground, transform_next, params.basis_bit)
+    f_e = overlap_magnitude(EXCITED, transform_next, params.basis_bit)
+    f_g = overlap_magnitude(GROUND, transform_next, params.basis_bit)
     record = IterationRecord(
         k=state.k + 1,
         outcome=outcome,
@@ -162,8 +161,8 @@ def run_realization(
     for _ in range(params.iterations):
         state, record = step(state, channel, params, rng)
         if dual_basis:
-            record.f_e_b1 = overlap_magnitude(channel.basis.excited, state.transform, flipped)
-            record.f_g_b1 = overlap_magnitude(channel.basis.ground, state.transform, flipped)
+            record.f_e_b1 = overlap_magnitude(EXCITED, state.transform, flipped)
+            record.f_g_b1 = overlap_magnitude(GROUND, state.transform, flipped)
         records.append(record)
     return records
 
@@ -173,17 +172,17 @@ def run_lockstep(
 ) -> np.ndarray:
     """Run one realization per seed, all advanced together step by step.
 
-    ``channels`` holds (channel, count) runs that cover the seeds in order
-    and share one energy basis. P(0) is ``pure_prob_zero`` of the tracked
-    fidelities, both recomputed only for kicked realizations, with the terms
-    of one channel or per-realization arrays of several. Generators stream
-    through buffers of ``4 * BLOCK`` uniforms (the most a block reads),
-    which cursors read in the frozen order of ``step``; angles are
-    ``lo + (hi - lo) * u`` as in ``Generator.uniform``. ``fold(k0, block)``
-    gets iterations k0:k0+b as a reused (n, columns, b) buffer, one
-    (columns, b) trajectory block per realization, of w, f_e, f_g, f_max
-    [, f_e_b1, f_g_b1], bit-equal to ``run_realization``. Returns the draws
-    each realization used: iterations + 3 * punishments.
+    ``channels`` holds (channel, count) runs that cover the seeds in order.
+    P(0) is ``pure_prob_zero`` of the tracked fidelities and each
+    realization's channel terms, both recomputed only for kicked
+    realizations. Generators stream through buffers of ``4 * BLOCK``
+    uniforms (the most a block reads), which cursors read in the frozen
+    order of ``step``; angles are ``lo + (hi - lo) * u`` as in
+    ``Generator.uniform``. ``fold(k0, block)`` gets iterations k0:k0+b as
+    a reused (n, columns, b) buffer, one (columns, b) trajectory block per
+    realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to
+    ``run_realization``. Returns the draws each realization used:
+    iterations + 3 * punishments.
     """
     n = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -196,17 +195,16 @@ def run_lockstep(
     w, p_zero = state[0], np.empty(n)
     # Overlap readouts: their state rows, targets and the basis bits they prepare from.
     rows = np.array([1, 2, 4, 5][: len(state) - 2])
-    targets = np.array([channels[0][0].basis.excited, channels[0][0].basis.ground] * 2)[: len(rows)]
+    targets = np.array([EXCITED, GROUND] * 2)[: len(rows)]
     bits = (np.array([0, 0, 1, 1]) ^ params.basis_bit)[: len(rows)]
-    terms = [channel.prob_zero_terms() for channel, _ in channels]  # python scalars, per channel
-    realization_terms = np.repeat(np.array(terms).T, [m for _, m in channels], axis=1)  # (3, n)
+    terms = np.array([channel.prob_zero_terms() for channel, _ in channels]).T
+    terms = np.repeat(terms, [count for _, count in channels], axis=1)  # (3, n), per realization
 
     def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
         fidelity = overlap_magnitude(targets, unitaries, bits).T
         state[rows[:, None], at] = fidelity
         state[3, at] = np.maximum(fidelity[0], fidelity[1])
-        at_terms = terms[0] if len(channels) == 1 else realization_terms[:, at]
-        p_zero[at] = pure_prob_zero(at_terms, fidelity[0] ** 2, fidelity[1] ** 2)
+        p_zero[at] = pure_prob_zero(terms[:, at], fidelity[0] ** 2, fidelity[1] ** 2)
 
     refresh(np.arange(n), transform)
     block = np.empty((n, len(state), BLOCK))

@@ -1,9 +1,10 @@
 """Qubit evolution channels: unitary, phase-damping and amplitude-damping.
 
 A :class:`Channel` bundles the evolution kind, the dimensionless evolution
-time ``tau``, the dimensionless decoherence time ``t_dec`` and the energy
-eigenbasis of the underlying two-level Hamiltonian
-H = (|e><e| - |g><g|) / 2, in units where hbar and the level splitting
+time ``tau`` and the dimensionless decoherence time ``t_dec``. The
+two-level Hamiltonian is fixed, H = (sqrt(3) X - Z) / 4 = (|e><e| - |g><g|) / 2,
+with eigenstates ``EXCITED`` |e> = (|0> + sqrt(3)|1>)/2 and ``GROUND``
+|g> = (-sqrt(3)|0> + |1>)/2, in units where hbar and the level splitting
 are 1, so that every time is dimensionless.
 
 The channel map is
@@ -25,7 +26,7 @@ independent target for the Kraus-form evaluation used in the tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,44 +34,15 @@ from . import linalg
 
 NOISE_KINDS = ("noiseless", "pdn", "adn")
 
-
-@dataclass(frozen=True, eq=False)
-class EnergyBasis:
-    """Orthonormal excited/ground eigenpair of the qubit Hamiltonian.
-
-    Both states are complex vectors of shape (2,) in the computational
-    basis.
-    """
-
-    excited: np.ndarray
-    ground: np.ndarray
-
-    def __post_init__(self):
-        excited = np.asarray(self.excited, dtype=complex).copy()
-        ground = np.asarray(self.ground, dtype=complex).copy()
-        if excited.shape != (2,) or ground.shape != (2,):
-            raise ValueError("basis states must be complex vectors of shape (2,)")
-        if not (linalg.is_normalized(excited) and linalg.is_normalized(ground)):
-            raise ValueError("basis states must be normalized")
-        if abs(np.vdot(excited, ground)) > linalg.ATOL:
-            raise ValueError("excited and ground states must be orthogonal")
-        excited.setflags(write=False)
-        ground.setflags(write=False)
-        object.__setattr__(self, "excited", excited)
-        object.__setattr__(self, "ground", ground)
-
-
-def default_energy_basis() -> EnergyBasis:
-    """Eigenbasis used by all bundled experiments.
-
-    Excited state (|0> + sqrt(3)|1>)/2 and ground state (-sqrt(3)|0> + |1>)/2,
-    the eigenpair of H = (sqrt(3) X - Z) / 4.
-    """
-    half_root3 = math.sqrt(3.0) / 2.0
-    return EnergyBasis(
-        excited=np.array([0.5, half_root3], dtype=complex),
-        ground=np.array([-half_root3, 0.5], dtype=complex),
-    )
+# The read-only energy eigenstates, their projectors and the eigenbasis-to-computational map.
+_HALF_ROOT3 = math.sqrt(3.0) / 2.0
+EXCITED = np.array([0.5, _HALF_ROOT3], dtype=complex)
+GROUND = np.array([-_HALF_ROOT3, 0.5], dtype=complex)
+_EXCITED_PROJ = np.outer(EXCITED, EXCITED.conj())
+_GROUND_PROJ = np.outer(GROUND, GROUND.conj())
+_EIG_TO_COMP = np.column_stack([EXCITED, GROUND])
+for _m in (EXCITED, GROUND, _EXCITED_PROJ, _GROUND_PROJ, _EIG_TO_COMP):
+    _m.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +60,6 @@ class Channel:
     kind: str
     tau: float
     t_dec: float = math.inf
-    basis: EnergyBasis = field(default_factory=default_energy_basis)
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -110,7 +81,7 @@ class Channel:
         return (survive * survive if adn else 1.0), 2.0 * survive * math.cos(self.tau), adn
 
 
-def hamiltonian_unitary(basis: EnergyBasis, tau: float) -> np.ndarray:
+def hamiltonian_unitary(tau: float) -> np.ndarray:
     """Propagator exp(-i H tau) in the computational basis.
 
     Evaluates exp(-i*tau/2)|e><e| + exp(+i*tau/2)|g><g| by
@@ -119,9 +90,7 @@ def hamiltonian_unitary(basis: EnergyBasis, tau: float) -> np.ndarray:
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     phase = np.exp(-0.5j * tau)
-    excited_proj = np.outer(basis.excited, basis.excited.conj())
-    ground_proj = np.outer(basis.ground, basis.ground.conj())
-    return phase * excited_proj + phase.conj() * ground_proj
+    return phase * _EXCITED_PROJ + phase.conj() * _GROUND_PROJ
 
 
 def kraus_pair(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -133,17 +102,14 @@ def kraus_pair(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
     channel returns (I, 0) by convention. The pair always satisfies
     E0^dag E0 + E1^dag E1 = I.
     """
-    basis = channel.basis
-    excited_proj = np.outer(basis.excited, basis.excited.conj())
-    ground_proj = np.outer(basis.ground, basis.ground.conj())
     survive = channel.decay_factor()
     jump = math.sqrt(1.0 - survive * survive)
-    first = ground_proj + survive * excited_proj
+    first = _GROUND_PROJ + survive * _EXCITED_PROJ
     if channel.kind == "adn":
-        second = jump * np.outer(basis.ground, basis.excited.conj())
+        second = jump * np.outer(GROUND, EXCITED.conj())
     else:
         # noiseless degenerates to jump = 0 here, i.e. (I, 0)
-        second = jump * excited_proj
+        second = jump * _EXCITED_PROJ
     return first, second
 
 
@@ -153,9 +119,7 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     Closed-form evaluation in the energy eigenbasis; assumes ``rho`` is a
     valid unit-trace density matrix.
     """
-    # Columns (excited, ground): maps the eigenbasis to the computational basis.
-    eig_to_comp = np.column_stack([channel.basis.excited, channel.basis.ground])
-    rho_eig = eig_to_comp.conj().T @ rho @ eig_to_comp
+    rho_eig = _EIG_TO_COMP.conj().T @ rho @ _EIG_TO_COMP
 
     survive = channel.decay_factor()
     rotation = np.exp(-1j * channel.tau)
@@ -168,7 +132,7 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
         ground_pop = rho_eig[1, 1].real
 
     evolved_eig = np.array([[excited_pop, off], [off.conj(), ground_pop]], dtype=complex)
-    return eig_to_comp @ evolved_eig @ eig_to_comp.conj().T
+    return _EIG_TO_COMP @ evolved_eig @ _EIG_TO_COMP.conj().T
 
 
 def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float:

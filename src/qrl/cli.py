@@ -269,9 +269,9 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
     series = []
     for path in ns.csv:
         columns = read_csv(path)
-        if ns.column not in columns:
-            available = ", ".join(columns)
-            raise ValueError(f"{path}: no column {ns.column!r} (available: {available})")
+        for name in ("k", ns.column):
+            if name not in columns:
+                raise ValueError(f"{path}: no column {name!r} (available: {', '.join(columns)})")
         series.append((Path(path).stem, columns["k"], columns[ns.column]))
     emit_svg(series, ns.out, y_label=ns.column)
     return 0

@@ -134,10 +134,10 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
 
     A cell joins the open chunk whole if it fits in the room left, its
     moments fit beside the chunk's other cells' in ``_CHUNK_BYTES``, and it
-    shares the chunk's params, dual_basis and energy basis, so narrow cells
-    pay each step's fixed cost once per chunk. Any other cell starts a new
-    chunk and is split as it would be alone. Each cell's stats depend only
-    on its configuration, never on the chunks: they equal ``run_ensemble``.
+    shares the chunk's params and dual_basis, so narrow cells pay each
+    step's fixed cost once per chunk. Any other cell starts a new chunk and
+    is split as it would be alone. Each cell's stats depend only on its
+    configuration, never on the chunks: they equal ``run_ensemble``.
     """
 
     def run(chunk):  # segments (cfg, moments, first realization, count)
@@ -155,9 +155,9 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
 
     chunk, room, key = [], 0, None
     for cfg in cfgs:
-        columns, n, basis = 6 if cfg.dual_basis else 4, cfg.n_realizations, cfg.channel.basis
+        columns, n = 6 if cfg.dual_basis else 4, cfg.n_realizations
         capacity = max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + columns)))
-        shared = cfg.params, cfg.dual_basis, basis.excited.tobytes(), basis.ground.tobytes()
+        shared = cfg.params, cfg.dual_basis
         moments = _RunningMoments(columns, cfg.params.iterations)
         cell_bytes = moments.mean.nbytes * 2  # its mean and scatter
         for first in range(0, n, capacity):

@@ -67,9 +67,3 @@ def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit) -> flo
     amplitude = np.vecdot(target, columns)
     # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.
     return np.hypot(amplitude.real, amplitude.imag)
-
-
-def is_normalized(psi: np.ndarray) -> bool:
-    """Whether |amp0|^2 + |amp1|^2 = 1 within ``ATOL``."""
-    psi = np.asarray(psi)
-    return abs(float(np.vdot(psi, psi).real) - 1.0) <= ATOL

@@ -19,13 +19,8 @@ import numpy as np
 
 from .ensemble import EnsembleStats
 
-_BASE_COLUMNS = ("W", "F_e", "F_g", "F_max")
-_DUAL_COLUMNS = ("F_e_b1", "F_g_b1")
-_SE_COLUMNS = ("se_W", "se_F_e", "se_F_g", "se_F_max")
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
+# CSV columns after k; each name lowercased is its EnsembleStats field (*_b1: dual-basis only).
+_COLUMNS = ("W", "F_e", "F_g", "F_max", "F_e_b1", "F_g_b1", "se_W", "se_F_e", "se_F_g", "se_F_max")
 
 
 def _emit(destination: str | Path | TextIO, write: Callable[[TextIO], object]) -> None:
@@ -49,20 +44,13 @@ def emit_csv(stats: EnsembleStats, destination: str | Path | TextIO) -> None:
 
 
 def _write_csv(stats: EnsembleStats, handle: TextIO) -> None:
-    dual = stats.f_e_b1 is not None
-    header = ["k", *_BASE_COLUMNS]
-    if dual:
-        header += list(_DUAL_COLUMNS)
-    header += list(_SE_COLUMNS)
-
+    names = [name for name in _COLUMNS if getattr(stats, name.lower()) is not None]
+    columns = [getattr(stats, name.lower()).tolist() for name in names]
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(stats.iterations):
-        row = [str(i + 1), _fmt(stats.w[i]), _fmt(stats.f_e[i]), _fmt(stats.f_g[i]), _fmt(stats.f_max[i])]
-        if dual:
-            row += [_fmt(stats.f_e_b1[i]), _fmt(stats.f_g_b1[i])]
-        row += [_fmt(stats.se_w[i]), _fmt(stats.se_f_e[i]), _fmt(stats.se_f_g[i]), _fmt(stats.se_f_max[i])]
-        writer.writerow(row)
+    writer.writerow(["k", *names])
+    # strict: ragged stats raise ValueError at their first missing row.
+    for k, *values in zip(range(1, stats.iterations + 1), *columns, strict=True):
+        writer.writerow([k, *(format(value, ".12g") for value in values)])
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -74,17 +62,17 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         rows = list(reader)
+    parsers = [int if name == "k" else float for name in header]
+    values = []
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line} has {len(row)} fields, header has {len(header)}")
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        values = [row[j] for row in rows]
-        if name == "k":
-            columns[name] = np.array([int(v) for v in values], dtype=int)
-        else:
-            columns[name] = np.array([float(v) for v in values])
-    return columns
+        try:
+            values.append([parse(field) for parse, field in zip(parsers, row)])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    return {name: np.array([row[j] for row in values], dtype=parse)
+            for j, (name, parse) in enumerate(zip(header, parsers))}
 
 
 _PALETTE = ("#c0392b", "#2b6cb0", "#2f855a", "#1a1a1a", "#b7791f", "#6b46c1", "#c05621", "#4a5568")

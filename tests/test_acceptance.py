@@ -16,9 +16,10 @@ from oracles import hermitian_eigenvalues, random_density
 from qrl import ensemble
 from qrl.agent import BLOCK, AlgorithmParams, run_realization
 from qrl.channels import (
+    EXCITED,
+    GROUND,
     Channel,
     apply_channel,
-    default_energy_basis,
     hamiltonian_unitary,
     kraus_pair,
     measurement_prob_zero,
@@ -27,7 +28,6 @@ from qrl.cli import main
 from qrl.ensemble import EnsembleConfig, run_ensemble
 from qrl.linalg import IDENTITY, density_from_pure
 
-BASIS = default_energy_basis()
 TAU1 = 1.0
 TAU2PI = 2.0 * math.pi
 
@@ -82,7 +82,7 @@ def test_criterion_01_closed_form_matches_kraus_oracle():
         channel = Channel(kind=kind, tau=rng.uniform(1e-9, 10.0), t_dec=rng.uniform(0.1, 100.0))
         rho = random_density(rng)
         first, second = kraus_pair(channel)
-        propagator = hamiltonian_unitary(channel.basis, channel.tau)
+        propagator = hamiltonian_unitary(channel.tau)
         oracle = propagator @ (
             first @ rho @ first.conj().T + second @ rho @ second.conj().T
         ) @ propagator.conj().T
@@ -114,8 +114,8 @@ def test_criterion_02_kraus_completeness_and_cptp():
 
 def test_criterion_03_fixed_point_structure():
     """PDN fixes both eigenprojectors; ADN fixes ground and decays excited."""
-    excited_proj = density_from_pure(BASIS.excited)
-    ground_proj = density_from_pure(BASIS.ground)
+    excited_proj = density_from_pure(EXCITED)
+    ground_proj = density_from_pure(GROUND)
     rng = np.random.default_rng(2003)
     for _ in range(100):
         tau = rng.uniform(1e-6, 10.0)
@@ -126,7 +126,7 @@ def test_criterion_03_fixed_point_structure():
         adn = Channel(kind="adn", tau=tau, t_dec=t_dec)
         assert np.max(np.abs(apply_channel(adn, ground_proj) - ground_proj)) <= 1e-12
         evolved = apply_channel(adn, excited_proj)
-        population = np.vdot(BASIS.excited, evolved @ BASIS.excited).real
+        population = np.vdot(EXCITED, evolved @ EXCITED).real
         assert abs(population - math.exp(-2.0 * tau / t_dec)) <= 1e-12
     report(3, "fixed points exact to 1e-12 over 100 random (tau, t_dec)")
 

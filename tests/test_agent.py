@@ -16,10 +16,9 @@ from qrl.agent import (
     run_realization,
     step,
 )
-from qrl.channels import Channel, default_energy_basis, measurement_prob_zero
+from qrl.channels import EXCITED, GROUND, Channel, measurement_prob_zero
 from qrl.linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitude
 
-BASIS = default_energy_basis()
 SQRT3_HALF = math.sqrt(3) / 2
 
 # Frame and expected rotation for the seeded golden test below; the
@@ -98,8 +97,8 @@ class TestInitAgent:
 
     def test_initial_fidelities(self):
         state = AgentState()
-        f_e = overlap_magnitude(BASIS.excited, state.transform, 0)
-        f_g = overlap_magnitude(BASIS.ground, state.transform, 0)
+        f_e = overlap_magnitude(EXCITED, state.transform, 0)
+        f_g = overlap_magnitude(GROUND, state.transform, 0)
         assert f_e == pytest.approx(0.5, abs=1e-12)
         assert f_g == pytest.approx(SQRT3_HALF, abs=1e-12)
         assert max(f_e, f_g) == pytest.approx(SQRT3_HALF, abs=1e-12)
@@ -182,7 +181,7 @@ class TestStep:
     def test_ground_preparation_rewards_certainly(self):
         # A transform sending |0> to the ground state hits the amplitude
         # damping fixed point, so the outcome-0 probability is 1.
-        transform = np.column_stack([BASIS.ground, BASIS.excited])
+        transform = np.column_stack([GROUND, EXCITED])
         state = AgentState(transform=transform, w=0.7, k=0)
         channel = Channel(kind="adn", tau=1.0, t_dec=1.0)
         _, record = step(state, channel, AlgorithmParams(), np.random.default_rng(52))
@@ -273,8 +272,8 @@ class TestRunRealization:
         for _ in range(200):
             state, _ = step(state, channel, params, rng)
             total = (
-                overlap_magnitude(BASIS.ground, state.transform, 0) ** 2
-                + overlap_magnitude(BASIS.ground, state.transform, 1) ** 2
+                overlap_magnitude(GROUND, state.transform, 0) ** 2
+                + overlap_magnitude(GROUND, state.transform, 1) ** 2
             )
             assert total == pytest.approx(1.0, abs=1e-10)
 

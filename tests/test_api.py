@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import qrl
+
+SRC = Path(qrl.__file__).resolve().parent
 
 
 def test_star_import_resolves_every_public_name():
@@ -6,3 +11,58 @@ def test_star_import_resolves_every_public_name():
     exec("from qrl import *", namespace)  # raises AttributeError on a stale __all__ entry
     assert all(hasattr(qrl, name) for name in qrl.__all__)
     assert set(qrl.__all__) <= namespace.keys()
+
+
+def test_public_names_are_pinned():
+    # A public name is added or removed only by editing this list too.
+    assert qrl.__all__ == [
+        "AgentState",
+        "AlgorithmParams",
+        "Channel",
+        "EnsembleConfig",
+        "EnsembleStats",
+        "IterationRecord",
+        "apply_channel",
+        "axis_rotation",
+        "density_from_pure",
+        "emit_csv",
+        "emit_svg",
+        "hamiltonian_unitary",
+        "kraus_pair",
+        "measurement_prob_zero",
+        "mix_seed",
+        "overlap_magnitude",
+        "read_csv",
+        "run_ensemble",
+        "run_realization",
+        "step",
+    ]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_check_flags_a_leftover_name():
+    assert unused_imports("from dataclasses import dataclass, field\n@dataclass\nclass A: pass\n") == [
+        "field"
+    ]
+    assert unused_imports("import numpy as np\nimport os.path\nx = np.pi + os.sep\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports names only to re-export them.
+    modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert modules
+    assert {path.name: unused_imports(path.read_text()) for path in modules} == {
+        path.name: [] for path in modules
+    }

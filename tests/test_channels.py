@@ -8,10 +8,10 @@ from scipy.linalg import expm
 
 from qrl.channels import (
     NOISE_KINDS,
+    EXCITED,
+    GROUND,
     Channel,
-    EnergyBasis,
     apply_channel,
-    default_energy_basis,
     hamiltonian_unitary,
     kraus_pair,
     measurement_prob_zero,
@@ -20,9 +20,8 @@ from qrl.channels import (
 from oracles import is_density_matrix, pauli, random_density
 from qrl.linalg import IDENTITY, density_from_pure
 
-BASIS = default_energy_basis()
-EXCITED_PROJ = density_from_pure(BASIS.excited)
-GROUND_PROJ = density_from_pure(BASIS.ground)
+EXCITED_PROJ = density_from_pure(EXCITED)
+GROUND_PROJ = density_from_pure(GROUND)
 
 
 def random_channel(rng, kind=None):
@@ -34,32 +33,23 @@ def kraus_form(channel, rho):
     """Independent evaluation of the full noisy evolution from its pieces:
     U(tau) [E0 rho E0^dag + E1 rho E1^dag] U(tau)^dag."""
     first, second = kraus_pair(channel)
-    propagator = hamiltonian_unitary(channel.basis, channel.tau)
+    propagator = hamiltonian_unitary(channel.tau)
     noisy = first @ rho @ first.conj().T + second @ rho @ second.conj().T
     return propagator @ noisy @ propagator.conj().T
 
 
 class TestEnergyBasis:
     def test_default_components(self):
-        np.testing.assert_allclose(BASIS.excited, [0.5, math.sqrt(3) / 2], atol=1e-15)
-        np.testing.assert_allclose(BASIS.ground, [-math.sqrt(3) / 2, 0.5], atol=1e-15)
+        np.testing.assert_allclose(EXCITED, [0.5, math.sqrt(3) / 2], atol=1e-15)
+        np.testing.assert_allclose(GROUND, [-math.sqrt(3) / 2, 0.5], atol=1e-15)
 
     def test_orthonormal(self):
-        assert abs(np.vdot(BASIS.excited, BASIS.ground)) < 1e-12
-        assert abs(np.linalg.norm(BASIS.excited) - 1) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            EnergyBasis(excited=np.array([1.0, 1.0]), ground=np.array([0.0, 1.0]))
-
-    def test_rejects_non_orthogonal(self):
-        state = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError, match="orthogonal"):
-            EnergyBasis(excited=state, ground=state)
+        assert abs(np.vdot(EXCITED, GROUND)) < 1e-12
+        assert abs(np.linalg.norm(EXCITED) - 1) < 1e-12
 
     def test_states_are_read_only(self):
         with pytest.raises(ValueError):
-            BASIS.excited[0] = 9.0
+            EXCITED[0] = 9.0
 
 
 class TestChannelValidation:
@@ -83,29 +73,29 @@ class TestChannelValidation:
 
 class TestHamiltonianUnitary:
     def test_zero_time_is_identity(self):
-        np.testing.assert_allclose(hamiltonian_unitary(BASIS, 0.0), IDENTITY, atol=1e-12)
+        np.testing.assert_allclose(hamiltonian_unitary(0.0), IDENTITY, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_degenerate_times(self, n):
         # At tau = 2 pi n the propagator collapses to (-1)^n times identity.
-        u = hamiltonian_unitary(BASIS, 2 * math.pi * n)
+        u = hamiltonian_unitary(2 * math.pi * n)
         np.testing.assert_allclose(u, (-1) ** n * IDENTITY, atol=1e-12)
 
     def test_eigenstate_phase(self):
-        u = hamiltonian_unitary(BASIS, math.pi)
-        np.testing.assert_allclose(u @ BASIS.excited, -1j * BASIS.excited, atol=1e-12)
+        u = hamiltonian_unitary(math.pi)
+        np.testing.assert_allclose(u @ EXCITED, -1j * EXCITED, atol=1e-12)
 
     def test_matches_exponential_of_concrete_hamiltonian(self):
-        # The default basis diagonalizes H = (sqrt(3) X - Z) / 4.
+        # EXCITED and GROUND diagonalize H = (sqrt(3) X - Z) / 4.
         hamiltonian = (math.sqrt(3) * pauli("X") - pauli("Z")) / 4.0
         rng = np.random.default_rng(31)
         for tau in rng.uniform(-10, 10, size=25):
             oracle = expm(-1j * hamiltonian * tau)
-            np.testing.assert_allclose(hamiltonian_unitary(BASIS, tau), oracle, atol=1e-12)
+            np.testing.assert_allclose(hamiltonian_unitary(tau), oracle, atol=1e-12)
 
     def test_rejects_infinite_tau(self):
         with pytest.raises(ValueError, match="finite"):
-            hamiltonian_unitary(BASIS, math.inf)
+            hamiltonian_unitary(math.inf)
 
 
 class TestKrausPair:
@@ -127,7 +117,7 @@ class TestKrausPair:
     def test_adn_jump_amplitude(self):
         # sqrt(1 - exp(-2 * tau/t_dec)) at tau/t_dec = 1/2
         first, second = kraus_pair(Channel(kind="adn", tau=0.5, t_dec=1.0))
-        jump = np.outer(BASIS.ground, BASIS.excited.conj())
+        jump = np.outer(GROUND, EXCITED.conj())
         np.testing.assert_allclose(second, 0.7950600976206501 * jump, atol=1e-12)
         np.testing.assert_allclose(first, GROUND_PROJ + math.exp(-0.5) * EXCITED_PROJ, atol=1e-12)
 
@@ -163,7 +153,7 @@ class TestApplyChannel:
         decayed = math.exp(-1.0)  # exp(-2 tau / t_dec)
         expected = decayed * EXCITED_PROJ + (1.0 - decayed) * GROUND_PROJ
         np.testing.assert_allclose(evolved, expected, atol=1e-12)
-        assert np.vdot(BASIS.excited, evolved @ BASIS.excited).real == pytest.approx(
+        assert np.vdot(EXCITED, evolved @ EXCITED).real == pytest.approx(
             0.36787944117144233, abs=1e-12
         )
         # cross-check against the Kraus-form evaluation
@@ -174,8 +164,8 @@ class TestApplyChannel:
         for _ in range(25):
             channel = random_channel(rng, "adn")
             rho = random_density(rng)
-            pop = np.vdot(BASIS.excited, rho @ BASIS.excited).real
-            pop_after = np.vdot(BASIS.excited, apply_channel(channel, rho) @ BASIS.excited).real
+            pop = np.vdot(EXCITED, rho @ EXCITED).real
+            pop_after = np.vdot(EXCITED, apply_channel(channel, rho) @ EXCITED).real
             assert pop_after < pop or pop == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_kraus_oracle(self):
@@ -192,7 +182,7 @@ class TestApplyChannel:
         for tau in rng.uniform(0.1, 10, size=20):
             channel = Channel(kind="noiseless", tau=tau)
             rho = random_density(rng)
-            propagator = hamiltonian_unitary(BASIS, tau)
+            propagator = hamiltonian_unitary(tau)
             np.testing.assert_allclose(
                 apply_channel(channel, rho),
                 propagator @ rho @ propagator.conj().T,
@@ -244,7 +234,7 @@ class TestMeasurementProbZero:
 
     def test_balanced_superposition(self):
         # |<phi|U(tau)|phi>|^2 = cos^2(tau/2) for phi = (e + g)/sqrt(2)
-        phi = (BASIS.excited + BASIS.ground) / math.sqrt(2)
+        phi = (EXCITED + GROUND) / math.sqrt(2)
         channel = Channel(kind="noiseless", tau=1.0)
         prob = measurement_prob_zero(channel, density_from_pure(phi))
         assert prob == pytest.approx(0.7701511529340699, abs=1e-12)
@@ -304,8 +294,8 @@ class TestPureProbZero:
     @settings(max_examples=300, deadline=None)
     @given(channel=channels, psi=pure_states())
     def test_matches_matrix_form(self, channel, psi):
-        excited = abs(np.vdot(channel.basis.excited, psi)) ** 2
-        ground = abs(np.vdot(channel.basis.ground, psi)) ** 2
+        excited = abs(np.vdot(EXCITED, psi)) ** 2
+        ground = abs(np.vdot(GROUND, psi)) ** 2
         prob = pure_prob_zero(channel.prob_zero_terms(), excited, ground)
         assert 0.0 <= prob <= 1.0
         assert abs(prob - measurement_prob_zero(channel, density_from_pure(psi))) <= 1e-14
@@ -315,8 +305,8 @@ class TestPureProbZero:
     def test_per_realization_terms_equal_each_channel_bit_for_bit(self, pairs):
         # One population pair per channel, evaluated together with per-realization
         # term arrays as the lockstep engine does for a chunk of several cells.
-        excited = np.array([abs(np.vdot(c.basis.excited, psi)) ** 2 for c, psi in pairs])
-        ground = np.array([abs(np.vdot(c.basis.ground, psi)) ** 2 for c, psi in pairs])
+        excited = np.array([abs(np.vdot(EXCITED, psi)) ** 2 for c, psi in pairs])
+        ground = np.array([abs(np.vdot(GROUND, psi)) ** 2 for c, psi in pairs])
         terms = np.array([channel.prob_zero_terms() for channel, _ in pairs]).T
         together = pure_prob_zero(terms, excited, ground)
         alone = [pure_prob_zero(c.prob_zero_terms(), excited[j : j + 1], ground[j : j + 1])

@@ -435,6 +435,23 @@ class TestPlotCommand:
         assert capsys.readouterr().err == f"qrl: {bad}: line 3 has 1 fields, header has 2\n"
         assert not out.exists()
 
+    def test_csv_without_k_column_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "nok.csv"
+        bad.write_text("W,F_max\n0.5,0.9\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qrl: {bad}: no column 'k' (available: W, F_max)\n"
+        assert not out.exists()
+
+    def test_unparsable_field_names_path_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("k,F_max\n1,0.5\n1.5,0.9\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qrl: {bad}: line 3: invalid literal for int()") and "'1.5'" in err
+        assert not out.exists()
+
     def test_out_equal_to_an_input_exits_2(self, tmp_path, csv_files, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         before = csv_files[1].read_bytes()

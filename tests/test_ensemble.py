@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from qrl.agent import BLOCK, AlgorithmParams, run_realization
-from qrl.channels import Channel, EnergyBasis, default_energy_basis
+from qrl.channels import EXCITED, GROUND, Channel
 from qrl import ensemble
 from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble, run_ensembles
 from qrl.linalg import overlap_magnitude
 
-BASIS = default_energy_basis()
 STAT_NAMES = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
               "f_e_b1", "f_g_b1", "se_f_e_b1", "se_f_g_b1")
-FLIPPED = EnergyBasis(excited=BASIS.ground, ground=BASIS.excited)
 SQRT3_HALF = math.sqrt(3) / 2
 
 
@@ -183,8 +181,8 @@ class TestRunEnsembles:
     def test_cells_that_differ_in_params_or_dual_basis_do_not_share_a_chunk(self, monkeypatch):
         cfgs = [small_config(n=3, seed=1), small_config(n=3, seed=2, dual=True),
                 small_config(n=3, seed=3, iters=61), small_config(n=3, seed=4, iters=61),
-                EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0, basis=FLIPPED),
-                               params=AlgorithmParams(iterations=61), n_realizations=3)]
+                EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0), n_realizations=3,
+                               params=AlgorithmParams(punish_rate=2.0, iterations=61))]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
         stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=100)
         assert [raw_bytes(s) for s in stats] == alone
@@ -222,6 +220,6 @@ class TestDualBasisFidelities:
             assert record.f_g_b1 == pytest.approx(0.5, abs=1e-12)
 
     def test_ground_preparation_flips_to_excited(self):
-        transform = np.column_stack([BASIS.ground, BASIS.excited])
-        assert overlap_magnitude(BASIS.excited, transform, 1) == pytest.approx(1.0, abs=1e-12)
-        assert overlap_magnitude(BASIS.ground, transform, 1) == pytest.approx(0.0, abs=1e-12)
+        transform = np.column_stack([GROUND, EXCITED])
+        assert overlap_magnitude(EXCITED, transform, 1) == pytest.approx(1.0, abs=1e-12)
+        assert overlap_magnitude(GROUND, transform, 1) == pytest.approx(0.0, abs=1e-12)

@@ -83,7 +83,7 @@ class TestEmitCsv:
         path.write_bytes(b"old bytes\n")
         broken = make_stats({"w": [0.9] * 500})
         broken.f_e = broken.f_e[:300]  # the writer raises at row 301, past several buffer flushes
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="shorter"):
             emit_csv(broken, path)
         assert path.read_bytes() == b"old bytes\n"
         assert list(tmp_path.iterdir()) == [path]
