@@ -7,23 +7,21 @@ noiseless, phase damping or amplitude damping; a Monte Carlo harness
 aggregates learning curves over many seeded realizations.
 """
 
-from .agent import AgentState, AlgorithmParams, IterationRecord, run_realization, step
+from .agent import AlgorithmParams, IterationRecord, run_realization
 from .channels import Channel, apply_channel, hamiltonian_unitary, kraus_pair, measurement_prob_zero
 from .ensemble import EnsembleConfig, EnsembleStats, mix_seed, run_ensemble
-from .linalg import axis_rotation, density_from_pure, overlap_magnitude
+from .linalg import density_from_pure
 from .output import emit_csv, emit_svg, read_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "AlgorithmParams",
     "Channel",
     "EnsembleConfig",
     "EnsembleStats",
     "IterationRecord",
     "apply_channel",
-    "axis_rotation",
     "density_from_pure",
     "emit_csv",
     "emit_svg",
@@ -31,9 +29,7 @@ __all__ = [
     "kraus_pair",
     "measurement_prob_zero",
     "mix_seed",
-    "overlap_magnitude",
     "read_csv",
     "run_ensemble",
     "run_realization",
-    "step",
 ]

@@ -2,7 +2,7 @@
 
 The agent owns a unitary ``transform`` (the accumulated preparation
 operator) and an exploration parameter ``w``. Each iteration prepares
-rho = transform |b><b| transform^dag from a computational basis bit b,
+rho = transform |0><0| transform^dag from computational basis bit 0,
 evolves it through the channel, and simulates the protocol's
 invert-and-measure step analytically through the outcome probability
 P(0) = Tr[rho * E(rho)]. Outcome 0 rewards the agent (w shrinks by the
@@ -40,16 +40,15 @@ class AlgorithmParams:
     """Learning-rule parameters of a realization.
 
     ``reward_rate`` in (0, 1) shrinks w on outcome 0, a finite ``punish_rate`` > 1
-    grows it on outcome 1, ``iterations`` is the number of loop steps and
-    ``basis_bit`` the computational basis state the preparation starts
-    from. The reward/punishment rates are not fixed by the protocol; the
-    defaults (0.9, 1.5) are this package's own choice.
+    grows it on outcome 1 and ``iterations`` is the number of loop steps.
+    The preparation always starts from basis bit 0. The reward/punishment
+    rates are not fixed by the protocol; the defaults (0.9, 1.5) are this
+    package's own choice.
     """
 
     reward_rate: float = 0.9
     punish_rate: float = 1.5
     iterations: int = 500
-    basis_bit: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.reward_rate < 1.0:
@@ -58,8 +57,6 @@ class AlgorithmParams:
             raise ValueError(f"punish_rate must be finite and > 1, got {self.punish_rate}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.basis_bit not in (0, 1):
-            raise ValueError(f"basis_bit must be 0 or 1, got {self.basis_bit}")
 
 
 @dataclass
@@ -111,7 +108,7 @@ def step(
     record's fidelities describe the post-update transform, i.e. the
     state the next iteration will prepare.
     """
-    rho = density_from_pure(state.transform[:, params.basis_bit])
+    rho = density_from_pure(state.transform[:, 0])
     p_zero = measurement_prob_zero(channel, rho)
     chi = rng.uniform(0.0, 1.0)
 
@@ -127,8 +124,8 @@ def step(
         angles = [rng.uniform(-half_width, half_width) for _ in range(3)]
         transform_next = state.transform @ _rotation(angles)
 
-    f_e = overlap_magnitude(EXCITED, transform_next, params.basis_bit)
-    f_g = overlap_magnitude(GROUND, transform_next, params.basis_bit)
+    f_e = overlap_magnitude(EXCITED, transform_next, 0)
+    f_g = overlap_magnitude(GROUND, transform_next, 0)
     record = IterationRecord(
         k=state.k + 1,
         outcome=outcome,
@@ -152,17 +149,16 @@ def run_realization(
 
     Fully deterministic for a given seed. With ``dual_basis`` the records
     also carry the fidelities of the state prepared from the flipped
-    basis bit.
+    basis bit 1.
     """
     rng = np.random.default_rng(seed)
     state = AgentState()
-    flipped = 1 - params.basis_bit
     records = []
     for _ in range(params.iterations):
         state, record = step(state, channel, params, rng)
         if dual_basis:
-            record.f_e_b1 = overlap_magnitude(EXCITED, state.transform, flipped)
-            record.f_g_b1 = overlap_magnitude(GROUND, state.transform, flipped)
+            record.f_e_b1 = overlap_magnitude(EXCITED, state.transform, 1)
+            record.f_g_b1 = overlap_magnitude(GROUND, state.transform, 1)
         records.append(record)
     return records
 
@@ -196,15 +192,16 @@ def run_lockstep(
     # Overlap readouts: their state rows, targets and the basis bits they prepare from.
     rows = np.array([1, 2, 4, 5][: len(state) - 2])
     targets = np.array([EXCITED, GROUND] * 2)[: len(rows)]
-    bits = (np.array([0, 0, 1, 1]) ^ params.basis_bit)[: len(rows)]
-    terms = np.array([channel.prob_zero_terms() for channel, _ in channels]).T
-    terms = np.repeat(terms, [count for _, count in channels], axis=1)  # (3, n), per realization
+    bits = np.array([0, 0, 1, 1])[: len(rows)]
+    # P(0) terms per realization: survival, coherence and adn (bool), each an n-vector.
+    counts = [count for _, count in channels]
+    terms = [np.repeat(term, counts) for term in zip(*(c.prob_zero_terms() for c, _ in channels))]
 
     def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
         fidelity = overlap_magnitude(targets, unitaries, bits).T
         state[rows[:, None], at] = fidelity
         state[3, at] = np.maximum(fidelity[0], fidelity[1])
-        p_zero[at] = pure_prob_zero(terms[:, at], fidelity[0] ** 2, fidelity[1] ** 2)
+        p_zero[at] = pure_prob_zero([term[at] for term in terms], fidelity[0] ** 2, fidelity[1] ** 2)
 
     refresh(np.arange(n), transform)
     block = np.empty((n, len(state), BLOCK))

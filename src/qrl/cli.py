@@ -2,15 +2,16 @@
 
 Subcommands:
 
-* ``qrl run [flags]``          one ensemble cell, CSV (and optional SVG) out
+* ``qrl run [flags]``          one ensemble cell, CSV out
 * ``qrl sweep --config FILE``  many cells from a key = value config file
 * ``qrl plot --csv FILE...``   line chart of a CSV column across files
 
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage error. The
 ``--seed`` range is [0, 2^64). Output destinations are checked before any
-cell computes or any plot input is read. Two outputs of one command that
-name the same file, or a plot ``--out`` that names one of its inputs, are
+cell computes or any plot input is read. Two sweep blocks whose ``out``
+names the same file, or a plot ``--out`` that names one of its inputs, are
 a usage error; paths are compared absolute, after joining ``--out-dir``.
+Charts come only from ``qrl plot`` over written CSVs.
 
 The sweep config file holds flat ``key = value`` lines with the same keys
 as the run flags; blank lines separate run blocks and ``#`` starts a
@@ -89,12 +90,11 @@ class RunSpec:
     seed: int = 0
     dual_basis: bool = False
     out: str | None = None
-    svg: str | None = None
 
     def to_config(self) -> EnsembleConfig:
         """The ensemble cell; ValueError on a bad parameter or an empty output path."""
-        if "" in (self.out, self.svg):
-            raise ValueError("out and svg paths must not be empty")
+        if self.out == "":
+            raise ValueError("out path must not be empty")
         return EnsembleConfig(
             channel=Channel(kind=_KIND_BY_NOISE[self.noise], tau=self.ttau, t_dec=self.tdec),
             params=AlgorithmParams(
@@ -119,18 +119,16 @@ _RUN_KEYS = {
     "seed": (_integer, "master seed in [0, 2^64)"),
     "dual_basis": (_flag, "also record fidelities of the flipped-bit preparation"),
     "out": (str, "CSV output path (stdout when omitted)"),
-    "svg": (str, "optional SVG chart of F_max"),
 }
 
 
-def _clash(paths: list[str | None], base: Path) -> tuple[int, int] | None:
+def _clash(paths: list[str], base: Path) -> tuple[int, int] | None:
     """First (i, j), i < j, whose ``paths`` name one file once joined to ``base`` and made absolute."""
     seen: dict[str, int] = {}
     for j, path in enumerate(paths):
-        if path is not None:
-            i = seen.setdefault(os.path.abspath(base / path), j)
-            if i != j:
-                return i, j
+        i = seen.setdefault(os.path.abspath(base / path), j)
+        if i != j:
+            return i, j
     return None
 
 
@@ -172,8 +170,6 @@ def parse_args(argv=None) -> RunSpec | argparse.Namespace:
         spec.to_config()
     except ValueError as exc:
         parser.error(f"run: {exc}")
-    if _clash([spec.out, spec.svg], Path(".")):
-        parser.error(f"run: out and svg both write {spec.out!r}")
     return spec
 
 
@@ -211,31 +207,22 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
             raise SweepFormatError(f"block {i}: {exc}") from None
         if spec.out is None:
             raise SweepFormatError(f"block {i}: missing 'out' path")
-    paths = [path for spec in specs for path in (spec.out, spec.svg)]
-    clash = _clash(paths, base)
+    clash = _clash([spec.out for spec in specs], base)
     if clash:
-        first, second = (index // 2 + 1 for index in clash)
-        writers = f"blocks {first} and {second}" if first != second else f"block {first}: out and svg"
-        raise SweepFormatError(f"{writers} both write {paths[clash[0]]!r}")
+        i, j = clash
+        raise SweepFormatError(f"blocks {i + 1} and {j + 1} both write {specs[i].out!r}")
     return specs
 
 
-def _check_destinations(base: Path, *paths: str | None) -> bool:
-    """True, or OSError naming the first of ``paths`` under ``base`` that is a directory or has none."""
-    for path in (base / path for path in paths if path is not None):
+def _check_destination(base: Path, path: str | None) -> bool:
+    """True, or OSError when ``path`` under ``base`` is a directory or has none; None is stdout."""
+    if path is not None:
+        path = base / path
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if not path.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     return True
-
-
-def _write(spec: RunSpec, stats, base: Path) -> None:
-    emit_csv(stats, sys.stdout if spec.out is None else base / spec.out)
-    if spec.svg is not None:
-        label = f"{spec.noise} ttau={spec.ttau:g} tdec={spec.tdec:g}"
-        series = [(label, list(range(1, stats.iterations + 1)), stats.f_max)]
-        emit_svg(series, base / spec.svg, y_label="F_max")
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -253,19 +240,19 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             print(f"qrl: sweep block {i} ({runs[i - 1].out!r}) failed: {exc}", file=sys.stderr)
 
     ready = [(i, run) for i, run in enumerate(runs, start=1)
-             if attempt(i, lambda: _check_destinations(base, run.out, run.svg))]
+             if attempt(i, lambda: _check_destination(base, run.out))]
     try:
         for stats in run_ensembles([run.to_config() for _, run in ready]):
             i, run = ready.pop(0)
-            attempt(i, lambda: _write(run, stats, base))
+            attempt(i, lambda: emit_csv(stats, base / run.out))
     except Exception:  # a shared chunk failed: the blocks not yet written run one by one
         for i, run in ready:
-            attempt(i, lambda: _write(run, next(run_ensembles([run.to_config()])), base))
+            attempt(i, lambda: emit_csv(next(run_ensembles([run.to_config()])), base / run.out))
     return 1 if failed else 0
 
 
 def _cmd_plot(ns: argparse.Namespace) -> int:
-    _check_destinations(Path("."), ns.out)
+    _check_destination(Path("."), ns.out)
     series = []
     for path in ns.csv:
         columns = read_csv(path)
@@ -281,8 +268,8 @@ def main(argv=None) -> int:
     spec = parse_args(argv)
     try:
         if isinstance(spec, RunSpec):
-            _check_destinations(Path("."), spec.out, spec.svg)
-            _write(spec, run_ensemble(spec.to_config()), Path("."))
+            _check_destination(Path("."), spec.out)
+            emit_csv(run_ensemble(spec.to_config()), sys.stdout if spec.out is None else spec.out)
             return 0
         if spec.command == "sweep":
             return _cmd_sweep(spec)

@@ -72,9 +72,8 @@ class EnsembleStats:
     All arrays share the run's iteration count and are indexed by
     iteration k-1. ``w`` is the mean exploration parameter; ``f_e``,
     ``f_g`` and ``f_max`` the mean fidelities of the state prepared from
-    the configured basis bit. The ``*_b1`` arrays, present only for
-    dual-basis runs, hold the fidelities of the state prepared from the
-    flipped bit.
+    basis bit 0. The ``*_b1`` arrays, present only for dual-basis runs,
+    hold the fidelities of the state prepared from the flipped bit 1.
     """
 
     n_realizations: int

@@ -61,8 +61,6 @@ def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit) -> flo
     Stacked targets (m, 2) with m basis bits add a trailing axis: entry j reads target j, bit j.
     """
     bits = np.asarray(basis_bit)
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError(f"basis_bit must be 0 or 1, got {basis_bit}")
     columns = unitary[..., bits].swapaxes(-1, -2) if bits.ndim else unitary[..., :, basis_bit]
     amplitude = np.vecdot(target, columns)
     # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.

@@ -46,11 +46,11 @@ def emit_csv(stats: EnsembleStats, destination: str | Path | TextIO) -> None:
 def _write_csv(stats: EnsembleStats, handle: TextIO) -> None:
     names = [name for name in _COLUMNS if getattr(stats, name.lower()) is not None]
     columns = [getattr(stats, name.lower()).tolist() for name in names]
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["k", *names])
+    row = "%d" + ",%.12g" * len(names) + "\n"  # '%.12g' % v is format(v, '.12g'), byte for byte
+    handle.write(",".join(["k", *names]) + "\n")
     # strict: ragged stats raise ValueError at their first missing row.
-    for k, *values in zip(range(1, stats.iterations + 1), *columns, strict=True):
-        writer.writerow([k, *(format(value, ".12g") for value in values)])
+    rows = zip(range(1, stats.iterations + 1), *columns, strict=True)
+    handle.writelines(row % values for values in rows)
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:

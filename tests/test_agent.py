@@ -69,7 +69,7 @@ class TestAlgorithmParams:
     def test_defaults(self):
         params = AlgorithmParams()
         assert (params.reward_rate, params.punish_rate) == (0.9, 1.5)
-        assert (params.iterations, params.basis_bit) == (500, 0)
+        assert params.iterations == 500
 
     @pytest.mark.parametrize("reward", [0.0, 1.0, -0.2, 1.7])
     def test_rejects_bad_reward(self, reward):
@@ -81,9 +81,7 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError, match="punish_rate"):
             AlgorithmParams(punish_rate=punish)
 
-    def test_rejects_bad_bit_and_iterations(self):
-        with pytest.raises(ValueError, match="basis_bit"):
-            AlgorithmParams(basis_bit=2)
+    def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             AlgorithmParams(iterations=-1)
 
@@ -329,9 +327,9 @@ class TestRunLockstep:
     CASES = [
         (Channel(kind="adn", tau=1.0, t_dec=1.0), AlgorithmParams(iterations=80), True),
         (Channel(kind="pdn", tau=2 * math.pi, t_dec=3.0),
-         AlgorithmParams(reward_rate=0.7, punish_rate=2.5, iterations=60, basis_bit=1), True),
+         AlgorithmParams(reward_rate=0.7, punish_rate=2.5, iterations=60), True),
         (Channel(kind="noiseless", tau=0.37),
-         AlgorithmParams(reward_rate=0.95, punish_rate=1.2, iterations=70, basis_bit=1), False),
+         AlgorithmParams(reward_rate=0.95, punish_rate=1.2, iterations=70), False),
         (Channel(kind="adn", tau=5.0, t_dec=10.0), AlgorithmParams(iterations=50), False),
         # Three full blocks of iterations and a partial fourth.
         (Channel(kind="pdn", tau=1.0, t_dec=2.0), AlgorithmParams(iterations=3 * BLOCK + 9), True),

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import qrl
+from qrl.cli import _RUN_KEYS
 
 SRC = Path(qrl.__file__).resolve().parent
 
@@ -16,14 +18,12 @@ def test_star_import_resolves_every_public_name():
 def test_public_names_are_pinned():
     # A public name is added or removed only by editing this list too.
     assert qrl.__all__ == [
-        "AgentState",
         "AlgorithmParams",
         "Channel",
         "EnsembleConfig",
         "EnsembleStats",
         "IterationRecord",
         "apply_channel",
-        "axis_rotation",
         "density_from_pure",
         "emit_csv",
         "emit_svg",
@@ -31,11 +31,20 @@ def test_public_names_are_pinned():
         "kraus_pair",
         "measurement_prob_zero",
         "mix_seed",
-        "overlap_magnitude",
         "read_csv",
         "run_ensemble",
         "run_realization",
-        "step",
+    ]
+
+
+def test_option_surface_is_pinned():
+    # A run flag, sweep key or learning parameter is added only by editing these lists too.
+    assert list(_RUN_KEYS) == [
+        "noise", "ttau", "tdec", "reward", "punish", "iters", "realizations", "seed",
+        "dual_basis", "out",
+    ]
+    assert [field.name for field in dataclasses.fields(qrl.AlgorithmParams)] == [
+        "reward_rate", "punish_rate", "iterations",
     ]
 
 

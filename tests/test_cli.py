@@ -26,19 +26,14 @@ def write_sweep(tmp_path, blocks):
 
 
 def format_sweep(specs):
-    """Sweep text with one block per spec: every key with its value, ``svg`` when set."""
-    blocks = []
-    for spec in specs:
-        lines = [
-            f"noise = {spec.noise}", f"ttau = {spec.ttau!r}", f"tdec = {spec.tdec!r}",
-            f"reward = {spec.reward!r}", f"punish = {spec.punish!r}", f"iters = {spec.iters}",
-            f"realizations = {spec.realizations}", f"seed = {spec.seed}",
-            f"dual_basis = {spec.dual_basis}", f"out = {spec.out}",
-        ]
-        if spec.svg is not None:
-            lines.append(f"svg = {spec.svg}")
-        blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks)
+    """Sweep text with one block per spec: every key with its value."""
+    return "\n".join(
+        f"noise = {spec.noise}\nttau = {spec.ttau!r}\ntdec = {spec.tdec!r}\n"
+        f"reward = {spec.reward!r}\npunish = {spec.punish!r}\niters = {spec.iters}\n"
+        f"realizations = {spec.realizations}\nseed = {spec.seed}\n"
+        f"dual_basis = {spec.dual_basis}\nout = {spec.out}\n"
+        for spec in specs
+    )
 
 
 names = st.text("abcxyz019_-", min_size=1, max_size=8)
@@ -46,7 +41,7 @@ names = st.text("abcxyz019_-", min_size=1, max_size=8)
 
 @st.composite
 def run_specs(draw, index):
-    """A valid RunSpec whose output paths carry the block index, so no two blocks share one."""
+    """A valid RunSpec whose output path carries the block index, so no two blocks share one."""
     positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
     return RunSpec(
         noise=draw(st.sampled_from(["none", "pdn", "adn"])),
@@ -59,7 +54,6 @@ def run_specs(draw, index):
         seed=draw(st.integers(0, 2**64 - 1)),
         dual_basis=draw(st.booleans()),
         out=f"{index}-{draw(names)}.csv",
-        svg=draw(st.none() | names.map(lambda name: f"{index}-{name}.svg")),
     )
 
 
@@ -117,14 +111,13 @@ class TestParseArgs:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.strip()
 
-    @pytest.mark.parametrize("flag", ["--out", "--svg"])
-    def test_empty_output_path_exits_2(self, flag, tmp_path, monkeypatch, capsys):
+    def test_empty_output_path_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--iters", "2", "--realizations", "2", flag, ""])
+            main(["run", "--iters", "2", "--realizations", "2", "--out", ""])
         assert excinfo.value.code == 2
-        assert "out and svg paths must not be empty" in capsys.readouterr().err
+        assert "out path must not be empty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_accepts_largest_seed(self):
@@ -171,7 +164,7 @@ class TestSweepText:
             ("reward = 2", "reward_rate"),
             ("seed = 18446744073709551616\nout = a.csv", "master_seed"),
             ("out = a.csv\n\nout = ./a.csv", "blocks 1 and 2 both write"),
-            ("out = a.csv\nsvg = ./a.csv", "block 1: out and svg both write 'a.csv'"),
+            ("out = a.csv\nsvg = a.svg", "unknown key 'svg'"),
             ("dual_basis = perhaps", "boolean"),
             ("# only a comment", "no run blocks"),
         ],
@@ -183,13 +176,13 @@ class TestSweepText:
     def test_round_trip(self):
         text = (
             "noise = adn\nttau = 2pi\ntdec = 10\nreward = 0.75\npunish = 2\niters = 50\n"
-            "realizations = 20\nseed = 5\ndual_basis = true\nout = x.csv\nsvg = x.svg\n"
+            "realizations = 20\nseed = 5\ndual_basis = true\nout = x.csv\n"
             "\n"
             "noise = pdn\nttau = 1.5\nout = y.csv\n"
         )
         assert parse_sweep_text(text) == [
             RunSpec(noise="adn", ttau=2 * math.pi, tdec=10.0, reward=0.75, punish=2.0, iters=50,
-                    realizations=20, seed=5, dual_basis=True, out="x.csv", svg="x.svg"),
+                    realizations=20, seed=5, dual_basis=True, out="x.csv"),
             RunSpec(noise="pdn", ttau=1.5, out="y.csv"),
         ]
 
@@ -228,10 +221,10 @@ class TestRunCommand:
             w *= 0.9
             assert row[1] == format(w, ".12g")
 
-    def test_svg_output(self, tmp_path):
+    def test_out_then_plot(self, tmp_path):
         csv_path, svg_path = tmp_path / "r.csv", tmp_path / "r.svg"
-        assert main(["run", "--iters", "5", "--realizations", "2",
-                     "--out", str(csv_path), "--svg", str(svg_path)]) == 0
+        assert main(["run", "--iters", "5", "--realizations", "2", "--out", str(csv_path)]) == 0
+        assert main(["plot", "--csv", str(csv_path), "--out", str(svg_path)]) == 0
         assert svg_path.read_text().count("<polyline") == 1
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
@@ -242,26 +235,18 @@ class TestRunCommand:
     def test_unwritable_destination_fails_before_computing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
         assert main(["run", "--out", str(tmp_path / "missing-dir" / "x.csv")]) == 1
-        assert main(["run", "--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path)]) == 1
+        assert main(["run", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.count("qrl:") == 2
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_csv_and_svg_on_one_path_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
-        path = str(tmp_path / "x")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--out", path, "--svg", str(tmp_path / "." / "x")])
-        assert excinfo.value.code == 2
-        assert f"out and svg both write {path!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_relative_and_absolute_path_to_one_file_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_svg_flag_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        # Charts come from ``qrl plot``; ``run`` writes only the CSV.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--out", "a.csv", "--svg", str(tmp_path / "a.csv")])
+            main(["run", "--out", "a.csv", "--svg", "x.svg"])
         assert excinfo.value.code == 2
-        assert "out and svg both write 'a.csv'" in capsys.readouterr().err
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -352,15 +337,16 @@ class TestSweepCommand:
 
     def test_duplicate_outputs_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
-        config = write_sweep(tmp_path, ["out = a.csv\nsvg = f.svg", "out = b.csv\nsvg = f.svg"])
+        config = write_sweep(tmp_path, ["out = a.csv", "out = b.csv", "out = a.csv"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
-        assert "blocks 1 and 2 both write 'f.svg'" in capsys.readouterr().err
+        assert "blocks 1 and 3 both write 'a.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
 
-    def test_csv_and_svg_on_one_path_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
+    def test_svg_key_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
-        config = write_sweep(tmp_path, ["out = a.csv", "out = b.csv\nsvg = b.csv"])
+        config = write_sweep(tmp_path, ["out = a.csv", "out = b.csv\nsvg = a.svg"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
-        assert "block 2: out and svg both write 'b.csv'" in capsys.readouterr().err
+        assert "unknown key 'svg'" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
 
     def test_outputs_compared_under_out_dir(self, tmp_path, monkeypatch, capsys):
@@ -382,12 +368,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["out =", "out = b.csv\nsvg ="])
+    @pytest.mark.parametrize("line", ["out =", "out = # the comment leaves no path"])
     def test_empty_output_path_exits_2(self, line, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
         config = write_sweep(tmp_path, ["out = a.csv", line])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "block 2: out and svg paths must not be empty" in capsys.readouterr().err
+        assert "block 2: out path must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_block_without_out_exits_2(self, tmp_path, capsys):

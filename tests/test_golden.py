@@ -7,9 +7,9 @@ change in a mean or standard error. The CSV digests were frozen from the
 per-realization engine (one ``run_realization`` per realization, folded
 in index order) and the raw digests from the first lockstep engine, each
 before the engine that followed replaced it. The cells cover the three
-noise kinds, tau in {1, 2pi}, dual-basis on and off, basis bit 1 with
-non-default rates, a 45 x 500 dual-basis cell, and a 300 x 150 dual-basis
-cell that spans three iteration blocks, ends in a partial one and runs
+noise kinds, tau in {1, 2pi}, dual-basis on and off, a 45 x 500
+dual-basis cell, and a 300 x 150 dual-basis cell with non-default rates
+that spans three iteration blocks, ends in a partial one and runs
 as three chunks of realizations, the last one partial (its chunk size is
 forced, since the default would run it as one chunk).
 """
@@ -62,11 +62,6 @@ CELLS = {
         ("adn", TAU2PI, 1.0), {}, 8, 60, 6, False,
         "33a3db52ca524f30038d7398b58c6999299825e475f415089109ef1c0e768fb6",
         "d5b0d99233f0e99b7e2632e86ff5bd6681ce0de9da1ee3c9cb5995a1d5f8ce0b",
-    ),
-    "adn-1-bit1": (
-        ("adn", 1.0, 1.0), dict(reward_rate=0.8, punish_rate=2.0, basis_bit=1), 8, 60, 7, True,
-        "0936be85435c32f844f602efc3da63454e7caa628016c6de7bcbfbc62de2297c",
-        "fdf9fd87644ff5928c335cc6bfeaa52954dfb1e58086a28d1791f3de18cb40e7",
     ),
     "adn-1-dual-chunks": (
         ("adn", 1.0, 1.0), {}, 45, 500, 8, True,

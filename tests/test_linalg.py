@@ -164,12 +164,6 @@ class TestOverlapMagnitude:
             total = overlap_magnitude(EXCITED, u, 0) ** 2 + overlap_magnitude(GROUND, u, 0) ** 2
             assert total == pytest.approx(1.0, abs=ATOL_COMPOSED)
 
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError, match="basis_bit"):
-            overlap_magnitude(EXCITED, IDENTITY, 2)
-        with pytest.raises(ValueError, match="basis_bit"):
-            overlap_magnitude(np.array([EXCITED, GROUND]), IDENTITY, [0, 2])
-
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
