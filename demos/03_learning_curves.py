@@ -35,7 +35,7 @@ for kind in ("pdn", "adn"):
         print(f"{kind} {label:20s} F_max at k={K}: {stats.f_max[-1]:.4f} "
               f"+- {stats.se_f_max[-1]:.4f}")
     chart = OUT / f"curves_{kind}.svg"
-    emit_svg(series, chart, title=f"{kind}, tau=1: mean best fidelity", y_label="F_max")
+    emit_svg(series, chart, y_label="F_max")
     print(f"wrote {chart}\n")
 
 print("at tau = 1 the curves barely depend on the decoherence time;")

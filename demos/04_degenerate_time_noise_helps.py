@@ -43,5 +43,5 @@ print("measurement rewards, w collapses geometrically, nothing is learned.")
 print("both damping kinds break the degeneracy and beat the plateau.")
 
 chart = OUT / "degenerate_time.svg"
-emit_svg(series, chart, title="tau = 2*pi: noise enables learning", y_label="F_max")
+emit_svg(series, chart, y_label="F_max")
 print(f"wrote {chart}")

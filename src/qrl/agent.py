@@ -35,7 +35,7 @@ from .linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitud
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgorithmParams:
     """Learning-rule parameters of a realization.
 

@@ -7,11 +7,12 @@ Subcommands:
 * ``qrl plot --csv FILE...``   line chart of a CSV column across files
 
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage error. The
-``--seed`` range is [0, 2^64). Output destinations are checked before any
-cell computes or any plot input is read. Two sweep blocks whose ``out``
-names the same file, or a plot ``--out`` that names one of its inputs, are
-a usage error; paths are compared absolute, after joining ``--out-dir``.
-Charts come only from ``qrl plot`` over written CSVs.
+``--seed`` range is [0, 2^64). Each output path passes ``output.check_destination``
+before any cell computes or any plot input is read: a link is followed and its
+target replaced atomically; an existing non-regular file or a missing parent exits 1.
+Two sweep blocks whose ``out`` names one file, an ``out`` that names the config
+file, or a plot ``--out`` that names one of its inputs exit 2; paths are compared
+after joining ``--out-dir`` and following links. Charts come only from ``qrl plot``.
 
 The sweep config file holds flat ``key = value`` lines with the same keys
 as the run flags; blank lines separate run blocks and ``#`` starts a
@@ -25,7 +26,6 @@ does not stop the others.
 from __future__ import annotations
 
 import argparse
-import errno
 import math
 import os
 import sys
@@ -35,7 +35,7 @@ from pathlib import Path
 from .agent import AlgorithmParams
 from .channels import Channel
 from .ensemble import EnsembleConfig, run_ensemble, run_ensembles
-from .output import emit_csv, emit_svg, read_csv
+from .output import check_destination, emit_csv, emit_svg, read_csv
 
 _KIND_BY_NOISE = {"none": "noiseless", "pdn": "pdn", "adn": "adn"}
 
@@ -123,10 +123,10 @@ _RUN_KEYS = {
 
 
 def _clash(paths: list[str], base: Path) -> tuple[int, int] | None:
-    """First (i, j), i < j, whose ``paths`` name one file once joined to ``base`` and made absolute."""
+    """First (i, j), i < j, whose ``paths`` name one file once joined to ``base``, links followed."""
     seen: dict[str, int] = {}
     for j, path in enumerate(paths):
-        i = seen.setdefault(os.path.abspath(base / path), j)
+        i = seen.setdefault(os.path.realpath(base / path), j)
         if i != j:
             return i, j
     return None
@@ -214,20 +214,11 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
     return specs
 
 
-def _check_destination(base: Path, path: str | None) -> bool:
-    """True, or OSError when ``path`` under ``base`` is a directory or has none; None is stdout."""
-    if path is not None:
-        path = base / path
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if not path.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-    return True
-
-
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     base = Path(ns.out_dir or ".")
     runs = parse_sweep_text(Path(ns.config).read_text(encoding="utf-8"), base)
+    if clash := _clash([os.path.realpath(ns.config), *(run.out for run in runs)], base):
+        raise SweepFormatError(f"block {clash[1]}: out names the config file {ns.config!r}")
     base.mkdir(parents=True, exist_ok=True)
 
     failed = []
@@ -240,7 +231,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             print(f"qrl: sweep block {i} ({runs[i - 1].out!r}) failed: {exc}", file=sys.stderr)
 
     ready = [(i, run) for i, run in enumerate(runs, start=1)
-             if attempt(i, lambda: _check_destination(base, run.out))]
+             if attempt(i, lambda: check_destination(base / run.out))]
     try:
         for stats in run_ensembles([run.to_config() for _, run in ready]):
             i, run = ready.pop(0)
@@ -252,7 +243,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _cmd_plot(ns: argparse.Namespace) -> int:
-    _check_destination(Path("."), ns.out)
+    check_destination(ns.out)
     series = []
     for path in ns.csv:
         columns = read_csv(path)
@@ -268,8 +259,8 @@ def main(argv=None) -> int:
     spec = parse_args(argv)
     try:
         if isinstance(spec, RunSpec):
-            _check_destination(Path("."), spec.out)
-            emit_csv(run_ensemble(spec.to_config()), sys.stdout if spec.out is None else spec.out)
+            out = sys.stdout if spec.out is None else check_destination(spec.out)
+            emit_csv(run_ensemble(spec.to_config()), out)
             return 0
         if spec.command == "sweep":
             return _cmd_sweep(spec)

@@ -4,7 +4,10 @@ The CSV layout is the package's canonical, diff-able output format:
 header ``k,W,F_e,F_g,F_max[,F_e_b1,F_g_b1],se_W,se_F_e,se_F_g,se_F_max``,
 one row per iteration with k counting from 1, floats printed with 12
 significant digits, LF line endings, UTF-8. The SVG emitter renders a
-self-contained static line chart (SVG 1.1, no external assets).
+self-contained static line chart (SVG 1.1, no external assets). Every path
+is written through ``check_destination``: a link is followed and its target
+replaced atomically; an existing directory, FIFO, device or socket, or a
+missing parent directory, is an OSError, and nothing is written.
 """
 
 from __future__ import annotations
@@ -23,12 +26,23 @@ from .ensemble import EnsembleStats
 _COLUMNS = ("W", "F_e", "F_g", "F_max", "F_e_b1", "F_g_b1", "se_W", "se_F_e", "se_F_g", "se_F_max")
 
 
+def check_destination(path: str | Path) -> Path:
+    """``path`` with links followed; OSError unless that is a regular file, or absent in a directory."""
+    real = Path(os.path.realpath(path))
+    if real.is_symlink() or real.exists() and not real.is_file():  # a link left is a loop
+        raise OSError(f"{path}: exists and is not a regular file")
+    if not real.parent.is_dir():
+        raise FileNotFoundError(f"{path}: parent is not a directory")
+    return real
+
+
 def _emit(destination: str | Path | TextIO, write: Callable[[TextIO], object]) -> None:
     """Run ``write`` on a stream, or on a temporary file that replaces the path only if it succeeds."""
     if hasattr(destination, "write"):
         write(destination)
         return
-    temporary = Path(destination).with_name(f".{Path(destination).name}.{os.getpid()}.tmp")
+    destination = check_destination(destination)
+    temporary = destination.with_name(f".{destination.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8", newline="") as handle:
             write(handle)
@@ -85,7 +99,6 @@ def emit_svg(
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     destination: str | Path | TextIO,
     *,
-    title: str | None = None,
     y_label: str = "mean",
 ) -> None:
     """Render labeled (x, y) series as a static SVG line chart, x labeled ``k``.
@@ -125,11 +138,6 @@ def emit_svg(
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:g}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
-        )
 
     # Frame and ticks.
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h

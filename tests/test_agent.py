@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,11 @@ class TestAlgorithmParams:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             AlgorithmParams(iterations=-1)
+
+    def test_fields_are_frozen(self):
+        # The constructor is the one validator, so no field changes after it.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            AlgorithmParams().iterations = 0
 
 
 class TestInitAgent:

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,10 @@ FIGS_DIR = Path(__file__).resolve().parent.parent / "figs"
 
 def must_not_compute(cfg):
     pytest.fail("a cell was computed")
+
+
+def is_fifo(path):
+    return stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
 def write_sweep(tmp_path, blocks):
@@ -239,6 +245,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.count("qrl:") == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_fifo_out_exits_1_before_computing(self, tmp_path, monkeypatch, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
+        assert main(["run", "--out", str(fifo)]) == 1
+        assert capsys.readouterr().err == f"qrl: {fifo}: exists and is not a regular file\n"
+        assert is_fifo(fifo)
+
+    def test_link_out_replaces_its_target(self, tmp_path):
+        args = ["run", "--noise", "pdn", "--tdec", "2", "--iters", "6", "--realizations", "3"]
+        target, link, direct = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "direct.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        assert main(args + ["--out", str(link)]) == 0
+        assert main(args + ["--out", str(direct)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == direct.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [direct, link, target]
+
     def test_svg_flag_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
         # Charts come from ``qrl plot``; ``run`` writes only the CSV.
         monkeypatch.chdir(tmp_path)
@@ -341,6 +366,38 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert "blocks 1 and 3 both write 'a.csv'" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+    def test_fifo_block_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        seeds = []
+
+        def recording(cfgs):
+            seeds.extend(cfg.master_seed for cfg in cfgs)
+            return run_ensembles(cfgs)
+
+        os.mkfifo(tmp_path / "fifo")
+        monkeypatch.setattr("qrl.cli.run_ensembles", recording)
+        config = write_sweep(tmp_path, ["out = fifo", "out = b2.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 1
+        assert "block 1 ('fifo') failed" in capsys.readouterr().err
+        assert seeds == [2]
+        assert is_fifo(tmp_path / "fifo") and (tmp_path / "b2.csv").is_file()
+
+    def test_link_and_its_target_exit_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
+        (tmp_path / "link.csv").symlink_to("a.csv")
+        config = write_sweep(tmp_path, ["out = a.csv", "out = link.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert "blocks 1 and 2 both write 'a.csv'" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_out_naming_the_config_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
+        config = write_sweep(tmp_path, ["out = a.csv", "out = grid.sweep"])
+        before = config.read_bytes()
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert "block 2: out names the config file" in capsys.readouterr().err
+        assert config.read_bytes() == before
+        assert not (tmp_path / "a.csv").exists()
 
     def test_svg_key_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
@@ -456,6 +513,27 @@ class TestPlotCommand:
         assert main(["plot", "--csv", *map(str, csv_files), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert str(out) in err and ".tmp" not in err
+
+    def test_fifo_out_exits_1_before_reading(self, tmp_path, csv_files, monkeypatch, capsys):
+        def must_not_read(path):
+            pytest.fail("an input was read")
+
+        monkeypatch.setattr("qrl.cli.read_csv", must_not_read)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert main(["plot", "--csv", *map(str, csv_files), "--out", str(fifo)]) == 1
+        assert str(fifo) in capsys.readouterr().err
+        assert is_fifo(fifo)
+
+    def test_out_linking_to_an_input_exits_2(self, tmp_path, csv_files, capsys):
+        link = tmp_path / "chart.svg"
+        link.symlink_to(csv_files[1])
+        before = csv_files[1].read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plot", "--csv", *map(str, csv_files), "--out", str(link)])
+        assert excinfo.value.code == 2
+        assert "is one of the csv inputs" in capsys.readouterr().err
+        assert csv_files[1].read_bytes() == before and link.is_symlink()
 
 
 class TestCheckedInSweeps:

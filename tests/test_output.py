@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -91,6 +92,17 @@ class TestEmitCsv:
         assert path.read_text(encoding="utf-8").startswith("k,W,")
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir, lambda path: os.symlink(path.name, path)],
+                             ids=["fifo", "directory", "link-loop"])
+    def test_refuses_what_is_not_a_regular_file_and_keeps_it(self, make, tmp_path):
+        path = tmp_path / "out.csv"
+        make(path)
+        mode = os.lstat(path).st_mode
+        with pytest.raises(OSError, match=re.escape(f"{path}: exists and is not a regular file")):
+            emit_csv(make_stats({"w": [0.9]}), path)
+        assert os.lstat(path).st_mode == mode
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -147,7 +159,7 @@ class TestEmitSvg:
 
     def test_escapes_labels(self):
         buffer = io.StringIO()
-        emit_svg([("a<b>&c", np.arange(2), np.arange(2.0))], buffer, title="t<&>")
+        emit_svg([("a<b>&c", np.arange(2), np.arange(2.0))], buffer, y_label="t<&>")
         text = buffer.getvalue()
         assert "a&lt;b&gt;&amp;c" in text
         assert "t&lt;&amp;&gt;" in text
