@@ -16,21 +16,22 @@ documented order so that seeded runs are reproducible: one uniform on
 alpha (X), beta (Y), gamma (Z) in that order, each uniform on
 [-w*pi, w*pi] with the pre-update w.
 
-``run_lockstep``, the engine of the ensemble, advances many realizations
-together (closed-form P(0), streamed draws, one rotation and one readout
-call per step for all kicks); ``step`` and ``run_realization`` are the
-scalar reference it reproduces bit for bit.
+``run_lockstep`` is the one engine: it advances many realizations together
+(closed-form P(0), streamed draws, one rotation and one readout call per
+step for all kicks). The ensemble runs it over many seeds and
+``run_realization`` over one. The scalar loop it reproduces bit for bit
+lives in ``tests/oracles.py``, as the reference the tests check against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EXCITED, GROUND, Channel, measurement_prob_zero, pure_prob_zero
-from .linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitude
+from .channels import EXCITED, GROUND, Channel, pure_prob_zero
+from .linalg import IDENTITY, axis_rotation, overlap_magnitude
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 
@@ -57,15 +58,6 @@ class AlgorithmParams:
             raise ValueError(f"punish_rate must be finite and > 1, got {self.punish_rate}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-
-
-@dataclass
-class AgentState:
-    """Mutable loop state: accumulated unitary, exploration parameter, step; fresh by default."""
-
-    transform: np.ndarray = field(default_factory=lambda: IDENTITY.copy())
-    w: float = 1.0
-    k: int = 0
 
 
 @dataclass
@@ -96,73 +88,6 @@ def _rotation(angles) -> np.ndarray:
     return ry @ rz @ rx
 
 
-def step(
-    state: AgentState,
-    channel: Channel,
-    params: AlgorithmParams,
-    rng: np.random.Generator,
-) -> tuple[AgentState, IterationRecord]:
-    """Advance the loop by one iteration.
-
-    Returns the successor state and the record of this iteration. The
-    record's fidelities describe the post-update transform, i.e. the
-    state the next iteration will prepare.
-    """
-    rho = density_from_pure(state.transform[:, 0])
-    p_zero = measurement_prob_zero(channel, rho)
-    chi = rng.uniform(0.0, 1.0)
-
-    if chi <= p_zero:
-        outcome = 0
-        w_next = params.reward_rate * state.w
-        transform_next = state.transform
-    else:
-        outcome = 1
-        w_next = min(params.punish_rate * state.w, 1.0)
-        # Angles alpha, beta, gamma, drawn in that order from the pre-update interval.
-        half_width = state.w * math.pi
-        angles = [rng.uniform(-half_width, half_width) for _ in range(3)]
-        transform_next = state.transform @ _rotation(angles)
-
-    f_e = overlap_magnitude(EXCITED, transform_next, 0)
-    f_g = overlap_magnitude(GROUND, transform_next, 0)
-    record = IterationRecord(
-        k=state.k + 1,
-        outcome=outcome,
-        w=w_next,
-        f_e=f_e,
-        f_g=f_g,
-        f_max=max(f_e, f_g),
-        p_zero=p_zero,
-    )
-    return AgentState(transform_next, w_next, state.k + 1), record
-
-
-def run_realization(
-    channel: Channel,
-    params: AlgorithmParams,
-    seed: int,
-    *,
-    dual_basis: bool = False,
-) -> list[IterationRecord]:
-    """Run one full realization and return its iteration records.
-
-    Fully deterministic for a given seed. With ``dual_basis`` the records
-    also carry the fidelities of the state prepared from the flipped
-    basis bit 1.
-    """
-    rng = np.random.default_rng(seed)
-    state = AgentState()
-    records = []
-    for _ in range(params.iterations):
-        state, record = step(state, channel, params, rng)
-        if dual_basis:
-            record.f_e_b1 = overlap_magnitude(EXCITED, state.transform, 1)
-            record.f_g_b1 = overlap_magnitude(GROUND, state.transform, 1)
-        records.append(record)
-    return records
-
-
 def run_lockstep(
     channels: list, params: AlgorithmParams, seeds: list[int], fold, *, dual_basis: bool = False
 ) -> np.ndarray:
@@ -173,12 +98,12 @@ def run_lockstep(
     realization's channel terms, both recomputed only for kicked
     realizations. Generators stream through buffers of ``4 * BLOCK``
     uniforms (the most a block reads), which cursors read in the frozen
-    order of ``step``; angles are ``lo + (hi - lo) * u`` as in
+    draw order; angles are ``lo + (hi - lo) * u`` as in
     ``Generator.uniform``. ``fold(k0, block)`` gets iterations k0:k0+b as
     a reused (n, columns, b) buffer, one (columns, b) trajectory block per
     realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to
-    ``run_realization``. Returns the draws each realization used:
-    iterations + 3 * punishments.
+    the scalar oracle ``run_realization`` in ``tests/oracles.py``. Returns
+    the draws each realization used: iterations + 3 * punishments.
     """
     n = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -228,3 +153,33 @@ def run_lockstep(
         used += cursor - row_start
         fold(k0, block[..., :size])
     return used
+
+
+def run_realization(
+    channel: Channel, params: AlgorithmParams, seed: int, *, dual_basis: bool = False
+) -> list[IterationRecord]:
+    """Run one full realization through ``run_lockstep`` and return its iteration records.
+
+    Fully deterministic for a given seed. ``p_zero`` of step k is the engine's
+    ``pure_prob_zero`` of the fidelities of record k - 1 (of the identity
+    for k = 1). ``outcome`` replays the seed's generator over the draws the
+    engine used: step k reads the draw at the current position, its outcome
+    is ``draw > p_zero``, and the position then moves on by 1 + 3 * outcome.
+    With ``dual_basis`` the records also carry the fidelities of the state
+    prepared from the flipped basis bit 1.
+    """
+    blocks = []
+    used = run_lockstep([(channel, 1)], params, [seed],  # copies: the engine reuses its buffer
+                        lambda k0, block: blocks.append(block[0].copy()), dual_basis=dual_basis)
+    rows = np.concatenate(blocks, axis=1)  # w, f_e, f_g, f_max [, f_e_b1, f_g_b1] per iteration
+    before = np.empty((2, params.iterations))  # f_e, f_g of the state each step prepares
+    before[:, 0] = [overlap_magnitude(target, IDENTITY, 0) for target in (EXCITED, GROUND)]
+    before[:, 1:] = rows[1:3, :-1]
+    p_zero = pure_prob_zero(channel.prob_zero_terms(), before[0] ** 2, before[1] ** 2).tolist()
+    draws = np.random.default_rng(seed).random(used[0])
+    records, position = [], 0
+    for k, (values, p) in enumerate(zip(rows.T.tolist(), p_zero), start=1):
+        outcome = int(draws[position] > p)
+        position += 1 + 3 * outcome
+        records.append(IterationRecord(k, outcome, *values[:4], p, *values[4:]))
+    return records

@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage error. The
 ``--seed`` range is [0, 2^64). Each output path passes ``output.check_destination``
-before any cell computes or any plot input is read: a link is followed and its
-target replaced atomically; an existing non-regular file or a missing parent exits 1.
+and each input ``output.check_source`` before any cell computes or any plot input is
+read: a link is followed (an output's target is replaced atomically); an existing
+non-regular file, such as a FIFO, or a missing output parent exits 1.
 Two sweep blocks whose ``out`` names one file, an ``out`` that names the config
 file, or a plot ``--out`` that names one of its inputs exit 2; paths are compared
 after joining ``--out-dir`` and following links. Charts come only from ``qrl plot``.
@@ -35,7 +36,7 @@ from pathlib import Path
 from .agent import AlgorithmParams
 from .channels import Channel
 from .ensemble import EnsembleConfig, run_ensemble, run_ensembles
-from .output import check_destination, emit_csv, emit_svg, read_csv
+from .output import check_destination, check_source, emit_csv, emit_svg, read_csv, read_text
 
 _KIND_BY_NOISE = {"none": "noiseless", "pdn": "pdn", "adn": "adn"}
 
@@ -216,7 +217,7 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     base = Path(ns.out_dir or ".")
-    runs = parse_sweep_text(Path(ns.config).read_text(encoding="utf-8"), base)
+    runs = parse_sweep_text(read_text(ns.config), base)
     if clash := _clash([os.path.realpath(ns.config), *(run.out for run in runs)], base):
         raise SweepFormatError(f"block {clash[1]}: out names the config file {ns.config!r}")
     base.mkdir(parents=True, exist_ok=True)
@@ -238,12 +239,14 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             attempt(i, lambda: emit_csv(stats, base / run.out))
     except Exception:  # a shared chunk failed: the blocks not yet written run one by one
         for i, run in ready:
-            attempt(i, lambda: emit_csv(next(run_ensembles([run.to_config()])), base / run.out))
+            attempt(i, lambda: emit_csv(run_ensemble(run.to_config()), base / run.out))
     return 1 if failed else 0
 
 
 def _cmd_plot(ns: argparse.Namespace) -> int:
     check_destination(ns.out)
+    for path in ns.csv:
+        check_source(path)
     series = []
     for path in ns.csv:
         columns = read_csv(path)

@@ -7,7 +7,8 @@ significant digits, LF line endings, UTF-8. The SVG emitter renders a
 self-contained static line chart (SVG 1.1, no external assets). Every path
 is written through ``check_destination``: a link is followed and its target
 replaced atomically; an existing directory, FIFO, device or socket, or a
-missing parent directory, is an OSError, and nothing is written.
+missing parent directory, is an OSError, and nothing is written. Every path
+is read through ``check_source``: a FIFO is an OSError, not a read that blocks.
 """
 
 from __future__ import annotations
@@ -26,11 +27,23 @@ from .ensemble import EnsembleStats
 _COLUMNS = ("W", "F_e", "F_g", "F_max", "F_e_b1", "F_g_b1", "se_W", "se_F_e", "se_F_g", "se_F_max")
 
 
-def check_destination(path: str | Path) -> Path:
-    """``path`` with links followed; OSError unless that is a regular file, or absent in a directory."""
+def check_source(path: str | Path) -> Path:
+    """``path`` with links followed; OSError naming it if that exists and is not a regular file."""
     real = Path(os.path.realpath(path))
     if real.is_symlink() or real.exists() and not real.is_file():  # a link left is a loop
         raise OSError(f"{path}: exists and is not a regular file")
+    return real
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``, read through ``check_source``."""
+    with open(check_source(path), encoding="utf-8") as handle:
+        return handle.read()
+
+
+def check_destination(path: str | Path) -> Path:
+    """``path`` with links followed; OSError unless that is a regular file, or absent in a directory."""
+    real = check_source(path)
     if not real.parent.is_dir():
         raise FileNotFoundError(f"{path}: parent is not a directory")
     return real
@@ -69,7 +82,7 @@ def _write_csv(stats: EnsembleStats, handle: TextIO) -> None:
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read an emitted CSV back into column arrays keyed by header name."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(check_source(path), encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -1,15 +1,25 @@
-"""Reference checks on 2x2 states and gates that the tests use and ``qrl`` does not.
+"""Reference code that the tests use and ``qrl`` does not.
 
 Pauli matrices, conjugation, the unitarity and density-matrix checks and
 the random state and gate samplers sit here, next to the tests, so that
-the package exports only what it runs.
+the package exports only what it runs. So does the scalar learning loop
+(``AgentState``, ``step`` and ``run_realization``): one realization, one
+iteration at a time, with P(0) from the density matrix through
+``measurement_prob_zero`` and each kick built from three single-axis
+rotations. It shares no loop with ``qrl.agent.run_lockstep``, the package's
+one engine, and the tests check that engine against it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from qrl.linalg import ATOL, IDENTITY, _pauli
+from qrl.agent import AlgorithmParams, IterationRecord
+from qrl.channels import EXCITED, GROUND, Channel, measurement_prob_zero
+from qrl.linalg import ATOL, IDENTITY, _pauli, axis_rotation, density_from_pure, overlap_magnitude
 
 # Looser tolerance for products of several operations.
 ATOL_COMPOSED = 1e-10
@@ -64,3 +74,80 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+@dataclass
+class AgentState:
+    """Mutable loop state: accumulated unitary, exploration parameter, step; fresh by default."""
+
+    transform: np.ndarray = field(default_factory=lambda: IDENTITY.copy())
+    w: float = 1.0
+    k: int = 0
+
+
+def step(
+    state: AgentState,
+    channel: Channel,
+    params: AlgorithmParams,
+    rng: np.random.Generator,
+) -> tuple[AgentState, IterationRecord]:
+    """Advance the loop by one iteration.
+
+    Returns the successor state and the record of this iteration. The
+    record's fidelities describe the post-update transform, i.e. the
+    state the next iteration will prepare.
+    """
+    rho = density_from_pure(state.transform[:, 0])
+    p_zero = measurement_prob_zero(channel, rho)
+    chi = rng.uniform(0.0, 1.0)
+
+    if chi <= p_zero:
+        outcome = 0
+        w_next = params.reward_rate * state.w
+        transform_next = state.transform
+    else:
+        outcome = 1
+        w_next = min(params.punish_rate * state.w, 1.0)
+        # Angles alpha, beta, gamma, drawn in that order from the pre-update interval.
+        half_width = state.w * math.pi
+        alpha, beta, gamma = [rng.uniform(-half_width, half_width) for _ in range(3)]
+        kick = axis_rotation("Y", beta) @ axis_rotation("Z", gamma) @ axis_rotation("X", alpha)
+        transform_next = state.transform @ kick
+
+    f_e = overlap_magnitude(EXCITED, transform_next, 0)
+    f_g = overlap_magnitude(GROUND, transform_next, 0)
+    record = IterationRecord(
+        k=state.k + 1,
+        outcome=outcome,
+        w=w_next,
+        f_e=f_e,
+        f_g=f_g,
+        f_max=max(f_e, f_g),
+        p_zero=p_zero,
+    )
+    return AgentState(transform_next, w_next, state.k + 1), record
+
+
+def run_realization(
+    channel: Channel,
+    params: AlgorithmParams,
+    seed: int,
+    *,
+    dual_basis: bool = False,
+) -> list[IterationRecord]:
+    """Run one full realization with ``step`` and return its iteration records.
+
+    Fully deterministic for a given seed. With ``dual_basis`` the records
+    also carry the fidelities of the state prepared from the flipped
+    basis bit 1.
+    """
+    rng = np.random.default_rng(seed)
+    state = AgentState()
+    records = []
+    for _ in range(params.iterations):
+        state, record = step(state, channel, params, rng)
+        if dual_basis:
+            record.f_e_b1 = overlap_magnitude(EXCITED, state.transform, 1)
+            record.f_g_b1 = overlap_magnitude(GROUND, state.transform, 1)
+        records.append(record)
+    return records

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import hermitian_eigenvalues, random_density
-from qrl import ensemble
-from qrl.agent import BLOCK, AlgorithmParams, run_realization
+from qrl import ensemble, run_realization
+from qrl.agent import BLOCK, AlgorithmParams
 from qrl.channels import (
     EXCITED,
     GROUND,

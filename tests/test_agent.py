@@ -7,16 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import is_unitary, pauli
-from qrl.agent import (
-    BLOCK,
-    AgentState,
-    AlgorithmParams,
-    _rotation,
-    run_lockstep,
-    run_realization,
-    step,
-)
+import oracles
+from oracles import AgentState, is_unitary, pauli, step
+from qrl import agent
+from qrl.agent import BLOCK, AlgorithmParams, _rotation, run_lockstep, run_realization
 from qrl.channels import EXCITED, GROUND, Channel, measurement_prob_zero
 from qrl.linalg import IDENTITY, axis_rotation, density_from_pure, overlap_magnitude
 
@@ -339,6 +333,8 @@ class TestRunLockstep:
         (Channel(kind="adn", tau=5.0, t_dec=10.0), AlgorithmParams(iterations=50), False),
         # Three full blocks of iterations and a partial fourth.
         (Channel(kind="pdn", tau=1.0, t_dec=2.0), AlgorithmParams(iterations=3 * BLOCK + 9), True),
+        # w underflows to 0.0 and stays there through later punishments.
+        (Channel(kind="adn", tau=1.0, t_dec=1.0), AlgorithmParams(reward_rate=0.1, iterations=600), False),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -357,10 +353,27 @@ class TestRunLockstep:
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
         punished = 0
         for j, seed in enumerate(seeds):
-            records = run_realization(channel, params, seed, dual_basis=dual)
+            records = oracles.run_realization(channel, params, seed, dual_basis=dual)
             for column, name in enumerate(names):
                 assert trajectories[j, column].tolist() == [getattr(r, name) for r in records]
             punishments = sum(r.outcome for r in records)
             assert draws[j] == params.iterations + 3 * punishments
             punished += punishments > 0
         assert punished > 0
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_public_records_match_oracle(self, case, monkeypatch):
+        # qrl.run_realization rebuilds the oracle's records from one engine run;
+        # only p_zero may differ, as the closed form against the density matrix.
+        channel, params, dual = self.CASES[case]
+        used = []
+        monkeypatch.setattr(agent, "run_lockstep",
+                            lambda *args, **kwargs: used.append(run_lockstep(*args, **kwargs)) or used[-1])
+        for j, seed in enumerate(1000 * case + i for i in range(13)):
+            records = run_realization(channel, params, seed, dual_basis=dual)
+            expected = oracles.run_realization(channel, params, seed, dual_basis=dual)
+            assert len(used) == j + 1
+            pairs = list(zip(records, expected, strict=True))
+            assert [dataclasses.replace(r, p_zero=e.p_zero) for r, e in pairs] == expected
+            assert max(abs(r.p_zero - e.p_zero) for r, e in pairs) <= 1e-15
+            assert sum(1 + 3 * r.outcome for r in records) == used[-1][0]

@@ -77,14 +77,17 @@ def test_no_module_imports_a_name_it_never_uses():
     }
 
 
+FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
 def file_calls(source: str) -> list[str]:
-    """Each call of ``open`` (built-in or method) and of ``os.replace`` in ``source``."""
+    """Each call of ``open`` (built-in or method), of a ``Path`` read or write and of ``os.replace``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         func = node.func if isinstance(node, ast.Call) else None
         if isinstance(func, ast.Name) and func.id == "open":
             found.append("open")
-        elif isinstance(func, ast.Attribute) and (func.attr == "open" or ast.unparse(func) == "os.replace"):
+        elif isinstance(func, ast.Attribute) and (func.attr in FILE_METHODS or ast.unparse(func) == "os.replace"):
             found.append(ast.unparse(func))
     return found
 
@@ -92,10 +95,13 @@ def file_calls(source: str) -> list[str]:
 def test_file_call_check_flags_open_and_replace():
     source = "with open(p) as f: pass\nPath(p).open('w')\nos.replace(a, b)\ntext.replace('a', 'b')\n"
     assert sorted(file_calls(source)) == ["Path(p).open", "open", "os.replace"]
+    source = "Path(p).read_text()\np.read_bytes()\np.write_text(s)\np.write_bytes(b)\nread_text(p)\n"
+    assert sorted(file_calls(source)) == ["Path(p).read_text", "p.read_bytes", "p.write_bytes", "p.write_text"]
 
 
 def test_only_output_opens_or_replaces_files():
-    # output.check_destination decides which paths may be written, so every write goes through output.
+    # output.check_destination decides which paths may be written, and output.check_source which
+    # may be read, so every read and write goes through output.
     others = sorted(path for path in SRC.glob("*.py") if path.name != "output.py")
     assert file_calls((SRC / "output.py").read_text())
     assert {path.name: file_calls(path.read_text()) for path in others} == {path.name: [] for path in others}

@@ -1,6 +1,8 @@
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from qrl.cli import RunSpec, SweepFormatError, main, parse_args, parse_sweep_text
 from qrl.ensemble import run_ensembles
 
-FIGS_DIR = Path(__file__).resolve().parent.parent / "figs"
+ROOT = Path(__file__).resolve().parent.parent
+FIGS_DIR = ROOT / "figs"
 
 
 def must_not_compute(cfg):
@@ -19,6 +22,14 @@ def must_not_compute(cfg):
 
 def is_fifo(path):
     return stat.S_ISFIFO(os.lstat(path).st_mode)
+
+
+def run_cli(args, cwd):
+    """Exit code and stderr of the CLI in a subprocess, so that a read which blocks fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-m", "qrl.cli", *args], cwd=cwd, env=env,
+                            capture_output=True, text=True, timeout=30)
+    return result.returncode, result.stderr
 
 
 def write_sweep(tmp_path, blocks):
@@ -346,6 +357,7 @@ class TestSweepCommand:
                 yield stats
 
         monkeypatch.setattr("qrl.cli.run_ensembles", fail_second)
+        monkeypatch.setattr("qrl.cli.run_ensemble", lambda cfg: next(fail_second([cfg])))  # the reruns
         config = write_sweep(tmp_path, ["out = b1.csv", "out = b2.csv", "out = b3.csv"])
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -418,6 +430,13 @@ class TestSweepCommand:
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.sweep")]) == 1
         assert "qrl:" in capsys.readouterr().err
+
+    def test_fifo_config_exits_1(self, tmp_path):
+        fifo = tmp_path / "grid.sweep"
+        os.mkfifo(fifo)
+        assert run_cli(["sweep", "--config", str(fifo)], tmp_path) == (
+            1, f"qrl: {fifo}: exists and is not a regular file\n")
+        assert is_fifo(fifo)
 
     def test_bad_config_content_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.sweep"
@@ -524,6 +543,15 @@ class TestPlotCommand:
         assert main(["plot", "--csv", *map(str, csv_files), "--out", str(fifo)]) == 1
         assert str(fifo) in capsys.readouterr().err
         assert is_fifo(fifo)
+
+    def test_fifo_csv_exits_1_before_any_input_is_read(self, tmp_path):
+        # Reading the FIFO would block; reading the bad CSV before it would name that file instead.
+        bad, fifo, out = tmp_path / "bad.csv", tmp_path / "fifo.csv", tmp_path / "chart.svg"
+        bad.write_text("k,W\n1,0.5\n2\n")
+        os.mkfifo(fifo)
+        assert run_cli(["plot", "--csv", str(bad), str(fifo), "--out", str(out)], tmp_path) == (
+            1, f"qrl: {fifo}: exists and is not a regular file\n")
+        assert is_fifo(fifo) and not out.exists()
 
     def test_out_linking_to_an_input_exits_2(self, tmp_path, csv_files, capsys):
         link = tmp_path / "chart.svg"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qrl.agent import BLOCK, AlgorithmParams, run_realization
+from qrl import ensemble, run_realization
+from qrl.agent import BLOCK, AlgorithmParams
 from qrl.channels import EXCITED, GROUND, Channel
-from qrl import ensemble
 from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble, run_ensembles
 from qrl.linalg import overlap_magnitude
 

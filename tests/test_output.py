@@ -103,6 +103,14 @@ class TestEmitCsv:
         assert os.lstat(path).st_mode == mode
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("make", [os.mkdir, lambda path: os.symlink(path.name, path)],
+                             ids=["directory", "link-loop"])
+    def test_read_refuses_what_is_not_a_regular_file(self, make, tmp_path):
+        path = tmp_path / "in.csv"
+        make(path)
+        with pytest.raises(OSError, match=re.escape(f"{path}: exists and is not a regular file")):
+            read_csv(path)
+
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
