@@ -45,7 +45,7 @@ for _m in (EXCITED, GROUND, _EXCITED_PROJ, _GROUND_PROJ, _EIG_TO_COMP):
     _m.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Channel:
     """Immutable evolution descriptor.
 

@@ -6,22 +6,23 @@ Subcommands:
 * ``qrl sweep --config FILE``  many cells from a key = value config file
 * ``qrl plot --csv FILE...``   line chart of a CSV column across files
 
-Exit codes: 0 success, 1 runtime or I/O error, 2 usage error. The
-``--seed`` range is [0, 2^64). Each output path passes ``output.check_destination``
-and each input ``output.check_source`` before any cell computes or any plot input is
-read: a link is followed (an output's target is replaced atomically); an existing
-non-regular file, such as a FIFO, or a missing output parent exits 1.
-Two sweep blocks whose ``out`` names one file, an ``out`` that names the config
-file, or a plot ``--out`` that names one of its inputs exit 2; paths are compared
-after joining ``--out-dir`` and following links. Charts come only from ``qrl plot``.
+Exit codes: 0 success, 1 runtime or I/O error, such as a cell too large to allocate, 2
+usage error. The ``--seed`` range is [0, 2^64). Each output path passes
+``output.check_destination`` and each input ``output.check_source`` before any cell
+computes or any plot input is read: a link is followed (an output's target is replaced
+atomically); an existing non-regular file, such as a FIFO, or a missing output parent
+exits 1. Two sweep blocks whose ``out`` names one file, an ``out`` that names the config
+file, or a plot ``--out`` that names one of its inputs exit 2; paths are compared after
+joining ``--out-dir`` and following links. Charts come only from ``qrl plot``.
 
-The sweep config file holds flat ``key = value`` lines with the same keys
-as the run flags; blank lines separate run blocks and ``#`` starts a
-comment. Every block needs a non-empty ``out`` path for its CSV. Narrow
-consecutive blocks with equal learning parameters and dual_basis share one
-lockstep engine run, with unchanged bytes; each CSV is written once its
-block is known. A block that fails to compute or write is reported and
-does not stop the others.
+The run flags and sweep keys parse straight into the library's frozen ``EnsembleConfig``;
+a key left unset takes the library's default, but ``noise`` (none) and ``ttau`` (1) have
+none there. The sweep config file holds flat ``key = value`` lines with those keys; blank
+lines separate run blocks and ``#`` starts a comment. Every block needs a non-empty
+``out`` path for its CSV. Narrow consecutive blocks with equal learning parameters and
+dual_basis share one lockstep engine run, with unchanged bytes; each CSV is written once
+its block is known. A block that fails to compute or write is reported and does not stop
+the others.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from .agent import AlgorithmParams
@@ -63,9 +64,10 @@ def _integer(text: str) -> int:
 
 
 def _noise(text: str) -> str:
+    """The channel kind a noise name selects."""
     if text not in _KIND_BY_NOISE:
         raise argparse.ArgumentTypeError(f"noise must be one of {', '.join(_KIND_BY_NOISE)}")
-    return text
+    return _KIND_BY_NOISE[text]
 
 
 def _flag(text: str) -> bool:
@@ -77,50 +79,32 @@ def _flag(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"invalid boolean {text!r}")
 
 
-@dataclass
-class RunSpec:
-    """One resolved run: channel, learning parameters, sizes and outputs."""
-
-    noise: str = "none"
-    ttau: float = 1.0
-    tdec: float = math.inf
-    reward: float = 0.9
-    punish: float = 1.5
-    iters: int = 500
-    realizations: int = 1000
-    seed: int = 0
-    dual_basis: bool = False
-    out: str | None = None
-
-    def to_config(self) -> EnsembleConfig:
-        """The ensemble cell; ValueError on a bad parameter or an empty output path."""
-        if self.out == "":
-            raise ValueError("out path must not be empty")
-        return EnsembleConfig(
-            channel=Channel(kind=_KIND_BY_NOISE[self.noise], tau=self.ttau, t_dec=self.tdec),
-            params=AlgorithmParams(
-                reward_rate=self.reward, punish_rate=self.punish, iterations=self.iters
-            ),
-            n_realizations=self.realizations,
-            master_seed=self.seed,
-            dual_basis=self.dual_basis,
-        )
-
-
-# Every RunSpec field as a ``qrl run`` flag (``--dual-basis`` for dual_basis) and a
-# sweep key: its converter and help text. The defaults are RunSpec's.
+# Each ``qrl run`` flag (``--dual-basis`` for dual_basis) and sweep key: its converter,
+# help text and the library field it sets. A key left unset takes the library's default.
 _RUN_KEYS = {
-    "noise": (_noise, "none, pdn or adn"),
-    "ttau": (_number, "dimensionless evolution time; the token 2pi is accepted"),
-    "tdec": (_number, "dimensionless decoherence time, or inf"),
-    "reward": (_number, "reward rate in (0, 1)"),
-    "punish": (_number, "punishment rate > 1"),
-    "iters": (_integer, "iterations per realization"),
-    "realizations": (_integer, "number of Monte Carlo realizations"),
-    "seed": (_integer, "master seed in [0, 2^64)"),
-    "dual_basis": (_flag, "also record fidelities of the flipped-bit preparation"),
-    "out": (str, "CSV output path (stdout when omitted)"),
+    "noise": (_noise, "none, pdn or adn", "kind"),
+    "ttau": (_number, "dimensionless evolution time; the token 2pi is accepted", "tau"),
+    "tdec": (_number, "dimensionless decoherence time, or inf", "t_dec"),
+    "reward": (_number, "reward rate in (0, 1)", "reward_rate"),
+    "punish": (_number, "punishment rate > 1", "punish_rate"),
+    "iters": (_integer, "iterations per realization", "iterations"),
+    "realizations": (_integer, "number of Monte Carlo realizations", "n_realizations"),
+    "seed": (_integer, "master seed in [0, 2^64)", "master_seed"),
+    "dual_basis": (_flag, "also record fidelities of the flipped-bit preparation", "dual_basis"),
+    "out": (str, "CSV output path (stdout when omitted)", None),
 }
+
+
+def _config(values: dict) -> EnsembleConfig:
+    """The cell the given run keys set; ValueError on a bad parameter or an empty output path."""
+    if values.get("out") == "":
+        raise ValueError("out path must not be empty")
+    given = {_RUN_KEYS[key][2]: value for key, value in values.items()}
+    channel, params, cell = ({f.name: given[f.name] for f in fields(cls) if f.name in given}
+                             for cls in (Channel, AlgorithmParams, EnsembleConfig))
+    # A channel has no default kind or tau; the CLI's are noise none and ttau 1.
+    return EnsembleConfig(Channel(**{"kind": "noiseless", "tau": 1.0, **channel}),
+                          AlgorithmParams(**params), **cell)
 
 
 def _clash(paths: list[str], base: Path) -> tuple[int, int] | None:
@@ -140,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run one ensemble and write CSV", argument_default=argparse.SUPPRESS
     )
-    for key, (convert, text) in _RUN_KEYS.items():
+    for key, (convert, text, _) in _RUN_KEYS.items():
         if convert is _flag:
             run.add_argument(f"--{key.replace('_', '-')}", action="store_true", help=text)
         else:
@@ -158,24 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunSpec | argparse.Namespace:
-    """A RunSpec for ``run``, else the parsed namespace (exits with code 2 on usage errors)."""
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed namespace, for ``run`` its ``config`` and ``out`` (exits 2 on usage errors)."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "plot" and any(_clash([path, ns.out], Path(".")) for path in ns.csv):
         parser.error(f"plot: out {ns.out!r} is one of the csv inputs")
     if ns.command != "run":
         return ns
-    spec = RunSpec(**{key: value for key, value in vars(ns).items() if key != "command"})
+    values = {key: value for key, value in vars(ns).items() if key != "command"}
     try:
-        spec.to_config()
+        config = _config(values)
     except ValueError as exc:
         parser.error(f"run: {exc}")
-    return spec
+    return argparse.Namespace(command="run", config=config, out=values.get("out"))
 
 
-def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
-    """Parse and validate sweep config content, outputs under ``base``, into one spec per block."""
+def parse_sweep_text(text: str, base: Path = Path(".")) -> list[tuple[EnsembleConfig, str]]:
+    """Parse and validate sweep config content, outputs under ``base``: a (config, out) per block."""
     blocks: list[dict] = []
     current: dict = {}
     for lineno, raw in enumerate([*text.splitlines(), ""], start=1):  # "" ends the last block
@@ -200,25 +184,26 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[RunSpec]:
             raise SweepFormatError(f"line {lineno}: {exc}") from None
     if not blocks:
         raise SweepFormatError("no run blocks found")
-    specs = [RunSpec(**block) for block in blocks]
-    for i, spec in enumerate(specs, start=1):
+    cells = []
+    for i, block in enumerate(blocks, start=1):
         try:
-            spec.to_config()
+            config = _config(block)
         except ValueError as exc:
             raise SweepFormatError(f"block {i}: {exc}") from None
-        if spec.out is None:
+        if "out" not in block:
             raise SweepFormatError(f"block {i}: missing 'out' path")
-    clash = _clash([spec.out for spec in specs], base)
+        cells.append((config, block["out"]))
+    clash = _clash([out for _, out in cells], base)
     if clash:
         i, j = clash
-        raise SweepFormatError(f"blocks {i + 1} and {j + 1} both write {specs[i].out!r}")
-    return specs
+        raise SweepFormatError(f"blocks {i + 1} and {j + 1} both write {cells[i][1]!r}")
+    return cells
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     base = Path(ns.out_dir or ".")
-    runs = parse_sweep_text(read_text(ns.config), base)
-    if clash := _clash([os.path.realpath(ns.config), *(run.out for run in runs)], base):
+    cells = parse_sweep_text(read_text(ns.config), base)
+    if clash := _clash([os.path.realpath(ns.config), *(out for _, out in cells)], base):
         raise SweepFormatError(f"block {clash[1]}: out names the config file {ns.config!r}")
     base.mkdir(parents=True, exist_ok=True)
 
@@ -229,17 +214,17 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             return action()
         except Exception as exc:  # one failed block, compute or write, must not stop the rest
             failed.append(i)
-            print(f"qrl: sweep block {i} ({runs[i - 1].out!r}) failed: {exc}", file=sys.stderr)
+            print(f"qrl: sweep block {i} ({cells[i - 1][1]!r}) failed: {exc}", file=sys.stderr)
 
-    ready = [(i, run) for i, run in enumerate(runs, start=1)
-             if attempt(i, lambda: check_destination(base / run.out))]
+    ready = [(i, config, out) for i, (config, out) in enumerate(cells, start=1)
+             if attempt(i, lambda: check_destination(base / out))]
     try:
-        for stats in run_ensembles([run.to_config() for _, run in ready]):
-            i, run = ready.pop(0)
-            attempt(i, lambda: emit_csv(stats, base / run.out))
+        for stats in run_ensembles([config for _, config, _ in ready]):
+            i, _, out = ready.pop(0)
+            attempt(i, lambda: emit_csv(stats, base / out))
     except Exception:  # a shared chunk failed: the blocks not yet written run one by one
-        for i, run in ready:
-            attempt(i, lambda: emit_csv(run_ensemble(run.to_config()), base / run.out))
+        for i, config, out in ready:
+            attempt(i, lambda: emit_csv(run_ensemble(config), base / out))
     return 1 if failed else 0
 
 
@@ -259,19 +244,19 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    spec = parse_args(argv)
+    ns = parse_args(argv)
     try:
-        if isinstance(spec, RunSpec):
-            out = sys.stdout if spec.out is None else check_destination(spec.out)
-            emit_csv(run_ensemble(spec.to_config()), out)
+        if ns.command == "run":
+            out = sys.stdout if ns.out is None else check_destination(ns.out)
+            emit_csv(run_ensemble(ns.config), out)
             return 0
-        if spec.command == "sweep":
-            return _cmd_sweep(spec)
-        return _cmd_plot(spec)
+        if ns.command == "sweep":
+            return _cmd_sweep(ns)
+        return _cmd_plot(ns)
     except SweepFormatError as exc:
         print(f"qrl: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a cell too large to allocate
         print(f"qrl: {exc}", file=sys.stderr)
         return 1
 

@@ -48,7 +48,7 @@ def mix_seed(master_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EnsembleConfig:
     """One ensemble cell: channel, learning parameters, size and a seed in [0, 2**64)."""
 

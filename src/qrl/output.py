@@ -117,7 +117,7 @@ def emit_svg(
     """Render labeled (x, y) series as a static SVG line chart, x labeled ``k``.
 
     ``series`` is a sequence of (label, x values, y values) triples;
-    at least one series with at least one point is required.
+    at least one series with at least one point, all finite, is required.
     """
     if not series:
         raise ValueError("emit_svg needs at least one series")
@@ -126,6 +126,8 @@ def emit_svg(
             raise ValueError(f"series {label!r}: x and y lengths differ")
         if len(x) == 0:
             raise ValueError(f"series {label!r} is empty")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"series {label!r} contains non-finite values")
 
     # The whole document is built before the write opens its temporary file.
     x_lo, x_hi = _axis_range(
@@ -212,8 +214,6 @@ def emit_svg(
 
 
 def _axis_range(lo: float, hi: float) -> tuple[float, float]:
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        raise ValueError("series contain non-finite values")
     if lo == hi:
         pad = 0.5 if lo == 0 else abs(lo) * 0.1
         return lo - pad, hi + pad

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from oracles import hermitian_eigenvalues, random_density
 from qrl import ensemble, run_realization

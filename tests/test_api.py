@@ -6,6 +6,7 @@ import qrl
 from qrl.cli import _RUN_KEYS
 
 SRC = Path(qrl.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_star_import_resolves_every_public_name():
@@ -71,6 +72,7 @@ def test_unused_import_check_flags_a_leftover_name():
 def test_no_module_imports_a_name_it_never_uses():
     # __init__ imports names only to re-export them.
     modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    modules += sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
     assert modules
     assert {path.name: unused_imports(path.read_text()) for path in modules} == {
         path.name: [] for path in modules

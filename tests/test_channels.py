@@ -70,6 +70,12 @@ class TestChannelValidation:
     def test_noiseless_forces_infinite_t_dec(self):
         assert Channel(kind="noiseless", tau=1.0, t_dec=3.0).t_dec == math.inf
 
+    def test_equal_fields_give_equal_channels(self):
+        assert Channel("noiseless", 1.0, 5.0) == Channel("noiseless", 1.0)
+        assert hash(Channel("noiseless", 1.0, 5.0)) == hash(Channel("noiseless", 1.0))
+        assert Channel("adn", 2.0, 10.0) == Channel(kind="adn", tau=2.0, t_dec=10.0)
+        assert Channel("adn", 2.0, 10.0) != Channel("pdn", 2.0, 10.0)
+
 
 class TestHamiltonianUnitary:
     def test_zero_time_is_identity(self):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrl.cli import RunSpec, SweepFormatError, main, parse_args, parse_sweep_text
+from qrl import AlgorithmParams, Channel, EnsembleConfig
+from qrl.cli import SweepFormatError, main, parse_args, parse_sweep_text
 from qrl.ensemble import run_ensembles
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGS_DIR = ROOT / "figs"
+NOISE_BY_KIND = {"noiseless": "none", "pdn": "pdn", "adn": "adn"}
 
 
 def must_not_compute(cfg):
@@ -42,14 +44,15 @@ def write_sweep(tmp_path, blocks):
     return config
 
 
-def format_sweep(specs):
-    """Sweep text with one block per spec: every key with its value."""
+def format_sweep(cells):
+    """Sweep text with one block per (config, out) pair: every key with its value."""
     return "\n".join(
-        f"noise = {spec.noise}\nttau = {spec.ttau!r}\ntdec = {spec.tdec!r}\n"
-        f"reward = {spec.reward!r}\npunish = {spec.punish!r}\niters = {spec.iters}\n"
-        f"realizations = {spec.realizations}\nseed = {spec.seed}\n"
-        f"dual_basis = {spec.dual_basis}\nout = {spec.out}\n"
-        for spec in specs
+        f"noise = {NOISE_BY_KIND[cfg.channel.kind]}\nttau = {cfg.channel.tau!r}\n"
+        f"tdec = {cfg.channel.t_dec!r}\nreward = {cfg.params.reward_rate!r}\n"
+        f"punish = {cfg.params.punish_rate!r}\niters = {cfg.params.iterations}\n"
+        f"realizations = {cfg.n_realizations}\nseed = {cfg.master_seed}\n"
+        f"dual_basis = {cfg.dual_basis}\nout = {out}\n"
+        for cfg, out in cells
     )
 
 
@@ -57,51 +60,57 @@ names = st.text("abcxyz019_-", min_size=1, max_size=8)
 
 
 @st.composite
-def run_specs(draw, index):
-    """A valid RunSpec whose output path carries the block index, so no two blocks share one."""
+def sweep_cells(draw, index):
+    """A valid (config, out) pair whose out path carries the block index, so no two blocks share one."""
     positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
-    return RunSpec(
-        noise=draw(st.sampled_from(["none", "pdn", "adn"])),
-        ttau=draw(positive | st.just(2 * math.pi)),
-        tdec=draw(positive | st.just(math.inf)),
-        reward=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        punish=draw(st.floats(1.0, 1e3, exclude_min=True)),
-        iters=draw(st.integers(1, 10**6)),
-        realizations=draw(st.integers(1, 10**6)),
-        seed=draw(st.integers(0, 2**64 - 1)),
+    config = EnsembleConfig(
+        Channel(
+            kind=draw(st.sampled_from(["noiseless", "pdn", "adn"])),
+            tau=draw(positive | st.just(2 * math.pi)),
+            t_dec=draw(positive | st.just(math.inf)),
+        ),
+        AlgorithmParams(
+            reward_rate=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            punish_rate=draw(st.floats(1.0, 1e3, exclude_min=True)),
+            iterations=draw(st.integers(1, 10**6)),
+        ),
+        n_realizations=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
         dual_basis=draw(st.booleans()),
-        out=f"{index}-{draw(names)}.csv",
     )
+    return config, f"{index}-{draw(names)}.csv"
 
 
 class TestParseArgs:
     def test_run_flag_mapping(self):
-        spec = parse_args(
+        ns = parse_args(
             ["run", "--noise", "adn", "--ttau", "6.283185307", "--tdec", "1",
              "--seed", "42", "--out", "fig1_br.csv"]
         )
-        assert isinstance(spec, RunSpec)
-        assert spec.noise == "adn"
-        assert spec.ttau == 6.283185307
-        assert spec.tdec == 1.0
-        assert spec.seed == 42
-        assert spec.out == "fig1_br.csv"
+        assert ns.command == "run"
+        assert ns.config.channel.kind == "adn"
+        assert ns.config.channel.tau == 6.283185307
+        assert ns.config.channel.t_dec == 1.0
+        assert ns.config.master_seed == 42
+        assert ns.out == "fig1_br.csv"
 
     def test_defaults(self):
-        spec = parse_args(["run"])
-        assert spec == RunSpec()
-        assert (spec.reward, spec.punish, spec.iters, spec.realizations) == (0.9, 1.5, 500, 1000)
-        assert spec.noise == "none" and spec.ttau == 1.0 and math.isinf(spec.tdec)
-        assert spec.seed == 0 and spec.dual_basis is False
+        ns = parse_args(["run"])
+        assert ns.config == EnsembleConfig(Channel(kind="noiseless", tau=1.0)) and ns.out is None
+        config, params = ns.config, ns.config.params
+        assert (params.reward_rate, params.punish_rate, params.iterations,
+                config.n_realizations) == (0.9, 1.5, 500, 1000)
+        assert config.channel.kind == "noiseless" and config.channel.tau == 1.0
+        assert math.isinf(config.channel.t_dec)
+        assert config.master_seed == 0 and config.dual_basis is False
 
     def test_tdec_inf_token_means_noiseless(self):
-        spec = parse_args(["run", "--tdec", "inf"])
-        assert math.isinf(spec.tdec)
-        assert spec.to_config().channel.kind == "noiseless"
+        channel = parse_args(["run", "--tdec", "inf"]).config.channel
+        assert math.isinf(channel.t_dec)
+        assert channel.kind == "noiseless"
 
     def test_two_pi_token_expands_to_double_precision(self):
-        spec = parse_args(["run", "--ttau", "2pi"])
-        assert spec.ttau == 2.0 * math.pi
+        assert parse_args(["run", "--ttau", "2pi"]).config.channel.tau == 2.0 * math.pi
 
     @pytest.mark.parametrize(
         "argv",
@@ -138,7 +147,7 @@ class TestParseArgs:
         assert list(tmp_path.iterdir()) == []
 
     def test_accepts_largest_seed(self):
-        assert parse_args(["run", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
+        assert parse_args(["run", "--seed", str(2**64 - 1)]).config.master_seed == 2**64 - 1
 
     def test_sweep_and_plot_specs(self):
         sweep = parse_args(["sweep", "--config", "f.sweep"])
@@ -166,11 +175,12 @@ class TestSweepText:
         dual-basis = true
         out = b.csv
         """
-        specs = parse_sweep_text("\n".join(line.strip() for line in text.splitlines()))
-        assert len(specs) == 2
-        assert specs[0].noise == "adn" and specs[0].ttau == 2 * math.pi
-        assert specs[0].reward == 0.9  # default fills unset keys
-        assert specs[1].dual_basis is True and specs[1].out == "b.csv"
+        cells = parse_sweep_text("\n".join(line.strip() for line in text.splitlines()))
+        assert len(cells) == 2
+        (first, _), (second, second_out) = cells
+        assert first.channel.kind == "adn" and first.channel.tau == 2 * math.pi
+        assert first.params.reward_rate == 0.9  # default fills unset keys
+        assert second.dual_basis is True and second_out == "b.csv"
 
     @pytest.mark.parametrize(
         "content,message",
@@ -198,15 +208,16 @@ class TestSweepText:
             "noise = pdn\nttau = 1.5\nout = y.csv\n"
         )
         assert parse_sweep_text(text) == [
-            RunSpec(noise="adn", ttau=2 * math.pi, tdec=10.0, reward=0.75, punish=2.0, iters=50,
-                    realizations=20, seed=5, dual_basis=True, out="x.csv"),
-            RunSpec(noise="pdn", ttau=1.5, out="y.csv"),
+            (EnsembleConfig(Channel(kind="adn", tau=2 * math.pi, t_dec=10.0),
+                            AlgorithmParams(reward_rate=0.75, punish_rate=2.0, iterations=50),
+                            n_realizations=20, master_seed=5, dual_basis=True), "x.csv"),
+            (EnsembleConfig(Channel(kind="pdn", tau=1.5)), "y.csv"),
         ]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(run_specs(i) for i in range(n)))))
-    def test_round_trip_property(self, specs):
-        assert parse_sweep_text(format_sweep(specs)) == list(specs)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(sweep_cells(i) for i in range(n)))))
+    def test_round_trip_property(self, cells):
+        assert parse_sweep_text(format_sweep(cells)) == list(cells)
 
 
 class TestRunCommand:
@@ -248,6 +259,14 @@ class TestRunCommand:
         target = tmp_path / "missing-dir" / "x.csv"
         assert main(["run", "--iters", "2", "--realizations", "2", "--out", str(target)]) == 1
         assert "qrl:" in capsys.readouterr().err
+
+    def test_unallocatable_cell_exits_1(self, tmp_path, capsys):
+        # 4 x 10^16 doubles (284 PiB) exceed any 64-bit address space, so the allocation fails at once.
+        out = tmp_path / "x.csv"
+        assert main(["run", "--iters", str(10**16), "--realizations", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qrl: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_destination_fails_before_computing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("qrl.cli.run_ensemble", must_not_compute)
@@ -497,6 +516,14 @@ class TestPlotCommand:
         assert capsys.readouterr().err == f"qrl: {bad}: line 3 has 1 fields, header has 2\n"
         assert not out.exists()
 
+    def test_non_finite_value_names_its_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("k,W\n1,nan\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(bad), "--column", "W", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "qrl: series 'bad' contains non-finite values\n"
+        assert not out.exists()
+
     def test_csv_without_k_column_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "nok.csv"
         bad.write_text("W,F_max\n0.5,0.9\n")
@@ -566,25 +593,25 @@ class TestPlotCommand:
 
 class TestCheckedInSweeps:
     def test_fig1_covers_the_grid(self):
-        specs = parse_sweep_text((FIGS_DIR / "fig1.sweep").read_text())
-        cells = {(s.noise, round(s.ttau, 9), s.tdec) for s in specs}
-        assert len(specs) == 14
-        for noise in ("pdn", "adn"):
+        cells = parse_sweep_text((FIGS_DIR / "fig1.sweep").read_text())
+        grid = {(c.channel.kind, round(c.channel.tau, 9), c.channel.t_dec) for c, _ in cells}
+        assert len(cells) == 14
+        for kind in ("pdn", "adn"):
             for ttau in (1.0, round(2 * math.pi, 9)):
                 for tdec in (1.0, 10.0, 100.0):
-                    assert (noise, ttau, tdec) in cells
-        assert ("none", 1.0, math.inf) in cells
-        assert ("none", round(2 * math.pi, 9), math.inf) in cells
-        assert len({s.out for s in specs}) == 14
+                    assert (kind, ttau, tdec) in grid
+        assert ("noiseless", 1.0, math.inf) in grid
+        assert ("noiseless", round(2 * math.pi, 9), math.inf) in grid
+        assert len({out for _, out in cells}) == 14
 
     def test_fig2_covers_tau_one(self):
-        specs = parse_sweep_text((FIGS_DIR / "fig2.sweep").read_text())
-        assert len(specs) == 7
-        assert all(s.ttau == 1.0 for s in specs)
-        assert {s.noise for s in specs} == {"pdn", "adn", "none"}
+        cells = parse_sweep_text((FIGS_DIR / "fig2.sweep").read_text())
+        assert len(cells) == 7
+        assert all(c.channel.tau == 1.0 for c, _ in cells)
+        assert {c.channel.kind for c, _ in cells} == {"pdn", "adn", "noiseless"}
 
     def test_fig3_is_dual_basis_adn(self):
-        specs = parse_sweep_text((FIGS_DIR / "fig3.sweep").read_text())
-        assert len(specs) == 4
-        assert all(s.dual_basis for s in specs)
-        assert {s.tdec for s in specs if s.noise == "adn"} == {1.0, 10.0, 100.0}
+        cells = parse_sweep_text((FIGS_DIR / "fig3.sweep").read_text())
+        assert len(cells) == 4
+        assert all(c.dual_basis for c, _ in cells)
+        assert {c.channel.t_dec for c, _ in cells if c.channel.kind == "adn"} == {1.0, 10.0, 100.0}

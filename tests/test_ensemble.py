@@ -53,6 +53,13 @@ class TestConfig:
             with pytest.raises(ValueError, match="master_seed"):
                 small_config(seed=seed)
 
+    def test_equal_fields_give_equal_configs(self):
+        assert small_config() == small_config()
+        assert hash(small_config()) == hash(small_config())
+        assert small_config(kind="noiseless", t_dec=5.0) == small_config(kind="noiseless", t_dec=1.0)
+        assert small_config(dual=True) != small_config()
+        assert small_config(seed=1) != small_config()
+
 
 class TestRunEnsemble:
     def test_degenerate_time_is_exact(self):

@@ -161,8 +161,10 @@ class TestEmitSvg:
 
     def test_non_finite_values_write_nothing(self, tmp_path):
         # The document is rendered before the atomic write opens its temporary file.
-        with pytest.raises(ValueError, match="non-finite"):
-            emit_svg([("nan", np.arange(2), np.array([0.5, math.nan]))], tmp_path / "never.svg")
+        series = [("finite", np.arange(2), np.array([0.5, 0.6])),
+                  ("second", np.arange(2), np.array([0.5, math.nan]))]
+        with pytest.raises(ValueError, match="series 'second' contains non-finite values"):
+            emit_svg(series, tmp_path / "never.svg")
         assert list(tmp_path.iterdir()) == []
 
     def test_escapes_labels(self):
