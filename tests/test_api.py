@@ -1,5 +1,9 @@
 import ast
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qrl
@@ -107,3 +111,33 @@ def test_only_output_opens_or_replaces_files():
     others = sorted(path for path in SRC.glob("*.py") if path.name != "output.py")
     assert file_calls((SRC / "output.py").read_text())
     assert {path.name: file_calls(path.read_text()) for path in others} == {path.name: [] for path in others}
+
+
+# Prints OPENBLAS_NUM_THREADS and the OS thread count right after ``import qrl``.
+THREAD_PROBE = """
+import json, os, qrl
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+def import_qrl_fresh(openblas_threads):
+    """``OPENBLAS_NUM_THREADS`` and the thread count (None without /proc) after a fresh ``import qrl``."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    result = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
+                            text=True, timeout=30, check=True)
+    return json.loads(result.stdout)
+
+
+def test_import_starts_no_blas_thread():
+    # Every BLAS call qrl makes is 2x2, so importing qrl first keeps OpenBLAS from starting a pool.
+    variable, tasks = import_qrl_fresh(None)
+    assert variable == "1"
+    assert tasks in (None, 1)
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    assert import_qrl_fresh("2")[0] == "2"

@@ -18,6 +18,10 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,12 +116,28 @@ def test_csv_digest(name, monkeypatch):
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == CELLS[name][-2]
 
 
-@pytest.mark.parametrize("name", CELLS)
-def test_raw_digest(name, monkeypatch):
-    stats = _run(name, monkeypatch)
+def raw_digest(stats):
     digest = hashlib.sha256()
     for field in dataclasses.fields(stats):
         value = getattr(stats, field.name)
         if isinstance(value, np.ndarray):
             digest.update(value.tobytes())
-    assert digest.hexdigest() == CELLS[name][-1]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", CELLS)
+def test_raw_digest(name, monkeypatch):
+    assert raw_digest(_run(name, monkeypatch)) == CELLS[name][-1]
+
+
+def test_raw_digest_ignores_blas_threads():
+    # qrl keeps OpenBLAS to one thread unless told otherwise; a pool of two must give the same bits.
+    name = "adn-1-dual-chunks"
+    assert name not in CHUNKS  # _run needs no monkeypatch
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = f"import test_golden as g; print(g.raw_digest(g._run({name!r}, None)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.strip() == CELLS[name][-1]
