@@ -19,15 +19,16 @@ The run flags and sweep keys parse straight into the library's frozen ``Ensemble
 a key left unset takes the library's default, but ``noise`` (none) and ``ttau`` (1) have
 none there. The sweep config file holds flat ``key = value`` lines with those keys; blank
 lines separate run blocks and ``#`` starts a comment. Every block needs a non-empty
-``out`` path for its CSV. Narrow consecutive blocks with equal learning parameters and
-dual_basis share one lockstep engine run, with unchanged bytes; each CSV is written once
-its block is known. A block that fails to compute or write is reported and does not stop
-the others.
+``out`` path for its CSV. Narrow consecutive blocks with equal learning parameters share
+one lockstep engine run, single- and dual-basis alike, with unchanged bytes; each CSV is
+written once its block is known. A block that fails to compute or write is reported and
+does not stop the others.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -261,5 +262,11 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """``main`` as a program: frozen import-time objects are left uncollected at exit."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

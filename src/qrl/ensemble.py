@@ -23,9 +23,10 @@ from .channels import Channel
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Bytes of the draw buffers and trajectory block of a chunk of realizations:
-# 1024 realizations at 4 columns, 819 at 6, so a 500-realization cell runs as
-# one chunk. It bounds peak memory, and so the moments of the cells that share
-# a chunk; the chunk size never changes the output.
+# 1024 realizations at 4 columns, 819 at 6 (a chunk is 6-column when any of its
+# cells is dual-basis), so a 500-realization cell runs as one chunk. It bounds
+# peak memory, and so the moments of the cells that share a chunk; the chunk
+# size never changes the output.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -131,41 +132,46 @@ class _RunningMoments:
 def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
     """Run cells in order, yielding each one's stats as soon as its last chunk is folded.
 
-    A cell joins the open chunk whole if it fits in the room left, its
-    moments fit beside the chunk's other cells' in ``_CHUNK_BYTES``, and it
-    shares the chunk's params and dual_basis, so narrow cells pay each
-    step's fixed cost once per chunk. Any other cell starts a new chunk and
-    is split as it would be alone. Each cell's stats depend only on its
-    configuration, never on the chunks: they equal ``run_ensemble``.
+    A cell joins the open chunk whole if it shares the chunk's params, the
+    chunk's realizations stay within its capacity at the widest column count
+    of its cells, and the moments of all its cells fit in ``_CHUNK_BYTES``, so
+    narrow cells pay each step's fixed cost once per chunk. A chunk with any
+    dual-basis cell runs dual-basis and each cell folds only its own columns:
+    a flipped-bit readout never touches the others. Any other cell starts a
+    new chunk and is split as it would be alone. Each cell's stats depend
+    only on its configuration, never on the chunks: they equal ``run_ensemble``.
     """
 
-    def run(chunk):  # segments (cfg, moments, first realization, count)
-        def fold(k0, block):  # each segment's rows into its cell's moments, in index order
-            for (_, moments, first, _), rows in zip(chunk, np.split(block, np.cumsum(counts)[:-1])):
-                moments.add_block(first, k0, rows)
+    def capacity(columns):  # realizations of a chunk of ``columns``-column cells
+        return max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + columns)))
 
-        counts, head = [count for *_, count in chunk], chunk[0][0]
+    def run(chunk):  # segments (cfg, moments, first realization, count)
+        def fold(k0, block):  # each segment's rows and columns into its cell's moments, in index order
+            for (_, moments, first, _), rows in zip(chunk, np.split(block, np.cumsum(counts)[:-1])):
+                moments.add_block(first, k0, rows[:, : len(moments.mean)])
+
+        counts = [count for *_, count in chunk]
         seeds = [mix_seed(cfg.master_seed, i)
                  for cfg, _, first, count in chunk for i in range(first, first + count)]
         runs = [(cfg.channel, count) for cfg, *_, count in chunk]
-        run_lockstep(runs, head.params, seeds, fold, dual_basis=head.dual_basis)
+        dual = any(cfg.dual_basis for cfg, *_ in chunk)
+        run_lockstep(runs, chunk[0][0].params, seeds, fold, dual_basis=dual)
         return [moments.stats(cfg.n_realizations)
                 for cfg, moments, first, count in chunk if first + count == cfg.n_realizations]
 
-    chunk, room, key = [], 0, None
+    chunk, lanes, width, held = [], 0, 4, 0  # segments; their realizations, columns, moment bytes
     for cfg in cfgs:
         columns, n = 6 if cfg.dual_basis else 4, cfg.n_realizations
-        capacity = max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + columns)))
-        shared = cfg.params, cfg.dual_basis
         moments = _RunningMoments(columns, cfg.params.iterations)
         cell_bytes = moments.mean.nbytes * 2  # its mean and scatter
-        for first in range(0, n, capacity):
-            count = min(capacity, n - first)
-            if count > room or shared != key or (len(chunk) + 1) * cell_bytes > _CHUNK_BYTES:
-                yield from run(chunk) if chunk else ()
-                chunk, room, key = [], capacity, shared
+        for first in range(0, n, capacity(columns)):
+            count = min(capacity(columns), n - first)
+            if chunk and (cfg.params != chunk[0][0].params or held + cell_bytes > _CHUNK_BYTES
+                          or lanes + count > capacity(max(width, columns))):
+                yield from run(chunk)
+                chunk, lanes, width, held = [], 0, 4, 0
             chunk.append((cfg, moments, first, count))
-            room -= count
+            lanes, width, held = lanes + count, max(width, columns), held + cell_bytes
     yield from run(chunk) if chunk else ()
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import stat
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrl import AlgorithmParams, Channel, EnsembleConfig
+from qrl import AlgorithmParams, Channel, EnsembleConfig, ensemble
 from qrl.cli import SweepFormatError, main, parse_args, parse_sweep_text
 from qrl.ensemble import run_ensembles
 
@@ -327,15 +328,12 @@ class TestSweepCommand:
                      "--realizations", "3", "--seed", "1", "--out", str(tmp_path / "run.csv")]) == 0
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
 
-    def test_batched_blocks_match_run_command(self, tmp_path):
-        # Blocks 1-3 share one engine run; block 4 is dual-basis and block 5 has its own rates.
-        blocks = [{"noise": "adn", "tdec": "1"}, {"noise": "pdn", "tdec": "10"},
-                  {"noise": "none", "ttau": "2pi"}, {"noise": "adn", "dual_basis": "true"},
-                  {"noise": "pdn", "reward": "0.8"}]
+    def check_blocks_match_run_command(self, tmp_path, blocks, iters):
+        """Sweep ``blocks`` (key -> value) seeded 1, 2, ..., then check each CSV against ``qrl run``."""
         config = tmp_path / "grid.sweep"
         config.write_text("\n".join(
             "".join(f"{key} = {value}\n" for key, value in block.items())
-            + f"iters = 10\nrealizations = 3\nseed = {i}\nout = b{i}.csv\n"
+            + f"iters = {iters}\nrealizations = 3\nseed = {i}\nout = b{i}.csv\n"
             for i, block in enumerate(blocks, start=1)
         ))
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
@@ -343,9 +341,28 @@ class TestSweepCommand:
             flags = [arg for key, value in block.items()
                      for arg in (["--dual-basis"] if key == "dual_basis" else [f"--{key}", value])]
             alone = tmp_path / f"alone{i}.csv"
-            assert main(["run", *flags, "--iters", "10", "--realizations", "3", "--seed", str(i),
+            assert main(["run", *flags, "--iters", str(iters), "--realizations", "3", "--seed", str(i),
                          "--out", str(alone)]) == 0
             assert (tmp_path / f"b{i}.csv").read_bytes() == alone.read_bytes()
+
+    def test_batched_blocks_match_run_command(self, tmp_path):
+        # Blocks 1-4 share one engine run, dual-basis block 4 included; block 5 has its own rates.
+        blocks = [{"noise": "adn", "tdec": "1"}, {"noise": "pdn", "tdec": "10"},
+                  {"noise": "none", "ttau": "2pi"}, {"noise": "adn", "dual_basis": "true"},
+                  {"noise": "pdn", "reward": "0.8"}]
+        self.check_blocks_match_run_command(tmp_path, blocks, iters=10)
+
+    def test_mixed_basis_figure_blocks_make_one_engine_run(self, tmp_path, monkeypatch):
+        # Narrow fig1-style single-basis blocks, then fig3-style dual-basis ones.
+        blocks = [{"noise": "pdn", "ttau": "1", "tdec": "10"}, {"noise": "adn", "ttau": "2pi", "tdec": "1"},
+                  {"noise": "none", "ttau": "2pi"}, {"noise": "adn", "ttau": "1", "tdec": "1", "dual_basis": "true"},
+                  {"noise": "none", "ttau": "1", "dual_basis": "true"}]
+        engine, calls = ensemble.run_lockstep, []
+        monkeypatch.setattr(ensemble, "run_lockstep",
+                            lambda *args, **kwargs: calls.append(kwargs) or engine(*args, **kwargs))
+        self.check_blocks_match_run_command(tmp_path, blocks, iters=70)
+        # One engine run for the sweep, then one per block run alone.
+        assert calls == [{"dual_basis": True}] + [{"dual_basis": "dual_basis" in b} for b in blocks]
 
     def test_preserves_order_and_reproduces(self, tmp_path, monkeypatch):
         seeds = []
@@ -589,6 +606,30 @@ class TestPlotCommand:
         assert excinfo.value.code == 2
         assert "is one of the csv inputs" in capsys.readouterr().err
         assert csv_files[1].read_bytes() == before and link.is_symlink()
+
+
+class TestProgramEntry:
+    # The program entry freezes import-time objects, so its exit does not collect them.
+    def test_module_entry_freezes_gc(self, tmp_path):
+        script = ("import gc, runpy\ntry:\n    runpy.run_module('qrl.cli', run_name='__main__')\n"
+                  "except SystemExit as exit:\n    print(exit.code, gc.get_freeze_count())\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        args = ["run", "--iters", "3", "--realizations", "2", "--out", "a.csv"]
+        result = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        code, frozen = map(int, result.stdout.split())
+        assert code == 0 and frozen > 0
+        assert main([*args[:-1], str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_main_in_process_leaves_gc_as_it_was(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["run", "--iters", "3", "--realizations", "2", "--out", str(tmp_path / "a.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_entry(self):
+        assert 'qrl = "qrl.cli:entry"' in (ROOT / "pyproject.toml").read_text()
 
 
 class TestCheckedInSweeps:

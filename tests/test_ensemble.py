@@ -185,7 +185,7 @@ class TestRunEnsembles:
         assert [raw_bytes(s) for s in stats] == alone
         assert chunks == [[("adn", 4)], [("adn", 4)], [("adn", 1), ("pdn", 3)], [("noiseless", 4)]]
 
-    def test_cells_that_differ_in_params_or_dual_basis_do_not_share_a_chunk(self, monkeypatch):
+    def test_cells_that_differ_in_params_do_not_share_a_chunk(self, monkeypatch):
         cfgs = [small_config(n=3, seed=1), small_config(n=3, seed=2, dual=True),
                 small_config(n=3, seed=3, iters=61), small_config(n=3, seed=4, iters=61),
                 EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0), n_realizations=3,
@@ -193,12 +193,49 @@ class TestRunEnsembles:
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
         stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=100)
         assert [raw_bytes(s) for s in stats] == alone
-        assert [[count for _, count in runs] for runs in chunks] == [[3], [3], [3, 3], [3]]
+        assert [[count for _, count in runs] for runs in chunks] == [[3, 3], [3, 3], [3]]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_single_and_dual_basis_cells_share_a_chunk(self, order, monkeypatch):
+        # A dual-basis chunk: the single-basis cells fold only their 4 columns, with their own bits.
+        cfgs = [small_config("pdn", n=37, iters=BLOCK + 6, seed=1, dual=True),
+                small_config("adn", n=200, iters=BLOCK + 6, seed=2),
+                small_config("noiseless", n=5, iters=BLOCK + 6, seed=3, dual=True),
+                small_config("adn", tau=2 * math.pi, n=300, iters=BLOCK + 6, seed=4)][::order]
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        engine, calls = ensemble.run_lockstep, []
+
+        def recorded(channels, params, seeds, fold, **kwargs):
+            calls.append(([count for _, count in channels], kwargs))
+            return engine(channels, params, seeds, fold, **kwargs)
+
+        monkeypatch.setattr(ensemble, "run_lockstep", recorded)
+        assert [raw_bytes(s) for s in run_ensembles(cfgs)] == alone
+        assert calls == [([37, 200, 5, 300][::order], {"dual_basis": True})]
+
+    def test_dual_cell_starts_a_new_chunk_past_the_dual_capacity(self, monkeypatch):
+        # Chunks hold 10 realizations at 4 columns and 8 at 6: any chunk with a dual cell holds 8.
+        cfgs = [small_config(n=9, seed=1), small_config(n=1, seed=2, dual=True),
+                small_config(n=7, seed=3), small_config(n=1, seed=4), small_config(n=2, seed=5, dual=True)]
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=10)
+        assert [raw_bytes(s) for s in stats] == alone
+        assert [[count for _, count in runs] for runs in chunks] == [[9], [1, 7], [1, 2]]
 
     def test_cells_share_a_chunk_only_while_their_moments_fit(self, monkeypatch):
         # At 700 iterations a cell's mean and scatter take 44 800 bytes, so the
         # buffers of 27 realizations (110 592 bytes) leave room for two cells' moments.
         cfgs = [small_config(n=2, iters=700, seed=i) for i in range(5)]
+        alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27)
+        assert [raw_bytes(s) for s in stats] == alone
+        assert [[count for _, count in runs] for runs in chunks] == [[2, 2], [2, 2], [2]]
+
+    def test_moments_count_each_cell_at_its_own_columns(self, monkeypatch):
+        # At 700 iterations a cell's mean and scatter take 44 800 bytes at 4 columns and 67 200
+        # at 6, so the buffers of 27 dual-basis realizations (138 240 bytes) hold the moments of
+        # a dual cell and one plain cell, or of three plain cells, but not of a dual and two plain.
+        cfgs = [small_config(n=2, iters=700, seed=i, dual=i in (0, 4)) for i in range(5)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
         stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27)
         assert [raw_bytes(s) for s in stats] == alone
