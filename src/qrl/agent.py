@@ -99,11 +99,12 @@ def run_lockstep(
     realizations. Generators stream through buffers of ``4 * BLOCK``
     uniforms (the most a block reads), which cursors read in the frozen
     draw order; angles are ``lo + (hi - lo) * u`` as in
-    ``Generator.uniform``. ``fold(k0, block)`` gets iterations k0:k0+b as
-    a reused (n, columns, b) buffer, one (columns, b) trajectory block per
-    realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to
-    the scalar oracle ``run_realization`` in ``tests/oracles.py``. Returns
-    the draws each realization used: iterations + 3 * punishments.
+    ``Generator.uniform``. ``fold(k0, block, punished)`` gets iterations
+    k0:k0+b as a reused (n, columns, b) buffer, one (columns, b) trajectory
+    block per realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal
+    to the scalar oracle ``run_realization`` in ``tests/oracles.py``, and a
+    reused (n, b) bool block of each step's outcome (True for a punishment).
+    Returns the draws each realization used: iterations + 3 * punishments.
     """
     n = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -129,7 +130,7 @@ def run_lockstep(
         p_zero[at] = pure_prob_zero([term[at] for term in terms], fidelity[0] ** 2, fidelity[1] ** 2)
 
     refresh(np.arange(n), transform)
-    block = np.empty((n, len(state), BLOCK))
+    block, punished = np.empty((n, len(state), BLOCK)), np.empty((BLOCK, n), dtype=bool)
     for k0 in range(0, params.iterations, BLOCK):
         for row, rng, consumed in zip(draws, rngs, cursor - row_start):  # keep the unread tail
             row[: row.size - consumed] = row[consumed:]
@@ -137,7 +138,7 @@ def run_lockstep(
         cursor[:] = row_start
         size = min(BLOCK, params.iterations - k0)
         for k in range(size):
-            kicked = np.flatnonzero(flat[cursor] > p_zero)
+            kicked = np.flatnonzero(np.greater(flat[cursor], p_zero, out=punished[k]))
             cursor += 1
             w_kicked = w[kicked]  # the pre-update w sets the kick's interval
             w *= params.reward_rate
@@ -151,7 +152,7 @@ def run_lockstep(
                 w[kicked] = np.minimum(params.punish_rate * w_kicked, 1.0)
             block[..., k] = state.T
         used += cursor - row_start
-        fold(k0, block[..., :size])
+        fold(k0, block[..., :size], punished[:size].T)
     return used
 
 
@@ -162,24 +163,22 @@ def run_realization(
 
     Fully deterministic for a given seed. ``p_zero`` of step k is the engine's
     ``pure_prob_zero`` of the fidelities of record k - 1 (of the identity
-    for k = 1). ``outcome`` replays the seed's generator over the draws the
-    engine used: step k reads the draw at the current position, its outcome
-    is ``draw > p_zero``, and the position then moves on by 1 + 3 * outcome.
+    for k = 1), and ``outcome`` is the engine's punishment flag of step k.
     With ``dual_basis`` the records also carry the fidelities of the state
     prepared from the flipped basis bit 1.
     """
-    blocks = []
-    used = run_lockstep([(channel, 1)], params, [seed],  # copies: the engine reuses its buffer
-                        lambda k0, block: blocks.append(block[0].copy()), dual_basis=dual_basis)
+    blocks, flags = [], []
+
+    def fold(k0, block, punished):  # copies: the engine reuses its buffers
+        blocks.append(block[0].copy())
+        flags.append(punished[0].copy())
+
+    run_lockstep([(channel, 1)], params, [seed], fold, dual_basis=dual_basis)
     rows = np.concatenate(blocks, axis=1)  # w, f_e, f_g, f_max [, f_e_b1, f_g_b1] per iteration
     before = np.empty((2, params.iterations))  # f_e, f_g of the state each step prepares
     before[:, 0] = [overlap_magnitude(target, IDENTITY, 0) for target in (EXCITED, GROUND)]
     before[:, 1:] = rows[1:3, :-1]
     p_zero = pure_prob_zero(channel.prob_zero_terms(), before[0] ** 2, before[1] ** 2).tolist()
-    draws = np.random.default_rng(seed).random(used[0])
-    records, position = [], 0
-    for k, (values, p) in enumerate(zip(rows.T.tolist(), p_zero), start=1):
-        outcome = int(draws[position] > p)
-        position += 1 + 3 * outcome
-        records.append(IterationRecord(k, outcome, *values[:4], p, *values[4:]))
-    return records
+    outcomes = np.concatenate(flags).astype(int).tolist()
+    return [IterationRecord(k, outcome, *values[:4], p, *values[4:])
+            for k, (values, p, outcome) in enumerate(zip(rows.T.tolist(), p_zero, outcomes), start=1)]

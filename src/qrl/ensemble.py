@@ -17,16 +17,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .agent import BLOCK, AlgorithmParams, run_lockstep
+from .agent import AlgorithmParams, run_lockstep
 from .channels import Channel
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Bytes of the draw buffers and trajectory block of a chunk of realizations:
-# 1024 realizations at 4 columns, 819 at 6 (a chunk is 6-column when any of its
-# cells is dual-basis), so a 500-realization cell runs as one chunk. It bounds
-# peak memory, and so the moments of the cells that share a chunk; the chunk
-# size never changes the output.
+# Realizations per lockstep chunk, whatever its column count: its draw buffers and
+# trajectory block take 4 MiB at 4 columns and 5 MiB at 6, and a cell of up to 1024
+# realizations runs as one chunk. The moments of the cells that share a chunk stay
+# within _CHUNK_BYTES. Neither size ever changes the output.
+_CHUNK_REALIZATIONS = 1024
 _CHUNK_BYTES = 4 << 20
 
 
@@ -133,20 +133,17 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
     """Run cells in order, yielding each one's stats as soon as its last chunk is folded.
 
     A cell joins the open chunk whole if it shares the chunk's params, the
-    chunk's realizations stay within its capacity at the widest column count
-    of its cells, and the moments of all its cells fit in ``_CHUNK_BYTES``, so
-    narrow cells pay each step's fixed cost once per chunk. A chunk with any
-    dual-basis cell runs dual-basis and each cell folds only its own columns:
-    a flipped-bit readout never touches the others. Any other cell starts a
-    new chunk and is split as it would be alone. Each cell's stats depend
-    only on its configuration, never on the chunks: they equal ``run_ensemble``.
+    chunk stays within ``_CHUNK_REALIZATIONS``, whatever its column count, and
+    the moments of all its cells fit in ``_CHUNK_BYTES``, so narrow cells pay
+    each step's fixed cost once per chunk. A chunk with any dual-basis cell
+    runs dual-basis and each cell folds only its own columns: a flipped-bit
+    readout never touches the others. Any other cell starts a new chunk and is
+    split as it would be alone. Each cell's stats depend only on its
+    configuration, never on the chunks: they equal ``run_ensemble``.
     """
 
-    def capacity(columns):  # realizations of a chunk of ``columns``-column cells
-        return max(1, _CHUNK_BYTES // (8 * BLOCK * (4 + columns)))
-
     def run(chunk):  # segments (cfg, moments, first realization, count)
-        def fold(k0, block):  # each segment's rows and columns into its cell's moments, in index order
+        def fold(k0, block, punished):  # each segment's rows and columns into its moments, in index order
             for (_, moments, first, _), rows in zip(chunk, np.split(block, np.cumsum(counts)[:-1])):
                 moments.add_block(first, k0, rows[:, : len(moments.mean)])
 
@@ -159,19 +156,18 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
         return [moments.stats(cfg.n_realizations)
                 for cfg, moments, first, count in chunk if first + count == cfg.n_realizations]
 
-    chunk, lanes, width, held = [], 0, 4, 0  # segments; their realizations, columns, moment bytes
+    chunk, lanes, held = [], 0, 0  # segments; their realizations and moment bytes
     for cfg in cfgs:
-        columns, n = 6 if cfg.dual_basis else 4, cfg.n_realizations
-        moments = _RunningMoments(columns, cfg.params.iterations)
+        moments = _RunningMoments(6 if cfg.dual_basis else 4, cfg.params.iterations)
         cell_bytes = moments.mean.nbytes * 2  # its mean and scatter
-        for first in range(0, n, capacity(columns)):
-            count = min(capacity(columns), n - first)
+        for first in range(0, cfg.n_realizations, _CHUNK_REALIZATIONS):
+            count = min(_CHUNK_REALIZATIONS, cfg.n_realizations - first)
             if chunk and (cfg.params != chunk[0][0].params or held + cell_bytes > _CHUNK_BYTES
-                          or lanes + count > capacity(max(width, columns))):
+                          or lanes + count > _CHUNK_REALIZATIONS):
                 yield from run(chunk)
-                chunk, lanes, width, held = [], 0, 4, 0
+                chunk, lanes, held = [], 0, 0
             chunk.append((cfg, moments, first, count))
-            lanes, width, held = lanes + count, max(width, columns), held + cell_bytes
+            lanes, held = lanes + count, held + cell_bytes
     yield from run(chunk) if chunk else ()
 
 

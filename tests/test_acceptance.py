@@ -13,7 +13,7 @@ import numpy as np
 
 from oracles import hermitian_eigenvalues, random_density
 from qrl import ensemble, run_realization
-from qrl.agent import BLOCK, AlgorithmParams
+from qrl.agent import AlgorithmParams
 from qrl.channels import (
     EXCITED,
     GROUND,
@@ -230,7 +230,7 @@ def test_criterion_09_byte_identical_output_across_workers(tmp_path, monkeypatch
     """Same master seed gives byte-identical CSV for chunks of 1, 7 and all 60 realizations."""
     args = ["run", "--noise", "adn", "--ttau", "1", "--tdec", "1",
             "--iters", "120", "--realizations", "60", "--seed", "4242"]
-    engine, default_bytes, chunks = ensemble.run_lockstep, ensemble._CHUNK_BYTES, []
+    engine, default_size, chunks = ensemble.run_lockstep, ensemble._CHUNK_REALIZATIONS, []
 
     def counted(channel, params, seeds, fold, **kwargs):
         chunks.append(len(seeds))
@@ -238,11 +238,9 @@ def test_criterion_09_byte_identical_output_across_workers(tmp_path, monkeypatch
 
     monkeypatch.setattr(ensemble, "run_lockstep", counted)
     blobs = []
-    # Chunk size is _CHUNK_BYTES // (8 * BLOCK * (4 + columns)), with 4 columns here; the
-    # last run keeps the default size, which also runs all 60 realizations as one chunk.
-    for chunk_bytes, expected in ((8 * BLOCK * 8, [1] * 60), (7 * 8 * BLOCK * 8, [7] * 8 + [4]),
-                                  (60 * 8 * BLOCK * 8, [60]), (default_bytes, [60])):
-        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk_bytes)
+    # The last run keeps the default size, which also runs all 60 realizations as one chunk.
+    for size, expected in ((1, [1] * 60), (7, [7] * 8 + [4]), (60, [60]), (default_size, [60])):
+        monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", size)
         chunks.clear()
         path = tmp_path / f"{len(blobs)}.csv"
         assert main(args + ["--out", str(path)]) == 0

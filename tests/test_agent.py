@@ -341,25 +341,55 @@ class TestRunLockstep:
     def test_matches_run_realization(self, case):
         channel, params, dual = self.CASES[case]
         seeds = [1000 * case + i for i in range(13)]
-        blocks = []
+        blocks, flags = [], []
 
-        def fold(k0, block):
+        def fold(k0, block, punished):
             assert k0 == sum(b.shape[2] for b in blocks) and 1 <= block.shape[2] <= BLOCK
-            blocks.append(block.copy())  # the engine reuses its buffer
+            assert punished.shape == (len(seeds), block.shape[2]) and punished.dtype == bool
+            blocks.append(block.copy())  # the engine reuses its buffers
+            flags.append(punished.copy())
 
         draws = run_lockstep([(channel, len(seeds))], params, seeds, fold, dual_basis=dual)
-        trajectories = np.concatenate(blocks, axis=2)
+        trajectories, punished = np.concatenate(blocks, axis=2), np.concatenate(flags, axis=1)
         assert trajectories.shape == (len(seeds), 6 if dual else 4, params.iterations)
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
-        punished = 0
         for j, seed in enumerate(seeds):
             records = oracles.run_realization(channel, params, seed, dual_basis=dual)
             for column, name in enumerate(names):
                 assert trajectories[j, column].tolist() == [getattr(r, name) for r in records]
-            punishments = sum(r.outcome for r in records)
-            assert draws[j] == params.iterations + 3 * punishments
-            punished += punishments > 0
-        assert punished > 0
+            assert punished[j].tolist() == [r.outcome == 1 for r in records]
+            assert draws[j] == params.iterations + 3 * punished[j].sum()
+        assert punished.any()
+
+    def test_every_step_punished_reads_whole_blocks(self, monkeypatch):
+        # The worst case the draw buffer is sized for: 4 draws a step, 4 * BLOCK a full block.
+        refills, make = [], np.random.default_rng
+
+        class Counted:  # a generator that records the size of every refill
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def random(self, out):
+                refills.append(out.size)
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        monkeypatch.setattr(agent, "pure_prob_zero", lambda terms, pe, pg: np.zeros_like(pe))
+        blocks, flags = [], []
+
+        def fold(k0, block, punished):
+            blocks.append(block[:, 0].copy())  # w
+            flags.append(punished.copy())
+
+        seeds, iterations = list(range(5)), 2 * BLOCK + 9  # two full blocks and a partial third
+        channel = Channel(kind="adn", tau=1.0, t_dec=1.0)
+        draws = run_lockstep([(channel, 5)], AlgorithmParams(iterations=iterations), seeds, fold,
+                             dual_basis=True)
+        # The initial fill, then a refill after each full block of what it read.
+        assert refills == [4 * BLOCK] * (3 * len(seeds))
+        assert draws.tolist() == [4 * iterations] * len(seeds)
+        assert np.concatenate(flags, axis=1).all()
+        assert np.all(np.concatenate(blocks, axis=1) == 1.0)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_public_records_match_oracle(self, case, monkeypatch):

@@ -113,6 +113,36 @@ def test_only_output_opens_or_replaces_files():
     assert {path.name: file_calls(path.read_text()) for path in others} == {path.name: [] for path in others}
 
 
+def rng_calls(source: str) -> list[str]:
+    """The function (dotted from module level) around each ``default_rng`` call; "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "default_rng":
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_rng_call_check_names_the_enclosing_function():
+    source = ("rng = np.random.default_rng(1)\nclass A:\n    def f(self):\n"
+              "        def g(): return [default_rng(s) for s in seeds]\n        return np.random.rand()\n")
+    assert rng_calls(source) == ["", "A.f.g"]
+
+
+def test_only_the_engine_creates_generators():
+    # The frozen draw order is encoded once, in run_lockstep's cursors; nothing replays it.
+    calls = {path.name: rng_calls(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {"agent.py": ["run_lockstep"]}
+
+
 # Prints OPENBLAS_NUM_THREADS and the OS thread count right after ``import qrl``.
 THREAD_PROBE = """
 import json, os, qrl

@@ -86,13 +86,13 @@ class TestRunEnsemble:
         assert np.all(stats.se_w == 0.0)
 
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
-        for dual, columns in ((False, 4), (True, 6)):
+        for dual in (False, True):
             # Two full blocks of iterations and a partial third.
             cfg = small_config(n=30, iters=2 * BLOCK + 22, seed=8, dual=dual)
             whole = run_ensemble(cfg)  # one chunk
             # Chunks of 1, 7 and 29 realizations; the last chunk of 7 and of 29 is partial.
             for chunk in (1, 7, 29):
-                monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * BLOCK * (4 + columns))
+                monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", chunk)
                 chunked = run_ensemble(cfg)
                 for name in STAT_NAMES:
                     np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
@@ -149,10 +149,11 @@ class TestRunEnsembles:
             for i, ((kind, tau, t_dec), n) in enumerate(zip(self.CHANNELS, self.SIZES))
         ]
 
-    def run_recorded(self, cfgs, monkeypatch, chunk):
+    def run_recorded(self, cfgs, monkeypatch, chunk, moment_bytes=None):
         """Stats of ``cfgs`` batched in chunks of ``chunk`` realizations, and the runs of each chunk."""
-        columns = 6 if cfgs[0].dual_basis else 4
-        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk * 8 * BLOCK * (4 + columns))
+        monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", chunk)
+        if moment_bytes is not None:
+            monkeypatch.setattr(ensemble, "_CHUNK_BYTES", moment_bytes)
         engine, chunks = ensemble.run_lockstep, []
 
         def recorded(channels, params, seeds, fold, **kwargs):
@@ -213,37 +214,47 @@ class TestRunEnsembles:
         assert [raw_bytes(s) for s in run_ensembles(cfgs)] == alone
         assert calls == [([37, 200, 5, 300][::order], {"dual_basis": True})]
 
-    def test_dual_cell_starts_a_new_chunk_past_the_dual_capacity(self, monkeypatch):
-        # Chunks hold 10 realizations at 4 columns and 8 at 6: any chunk with a dual cell holds 8.
+    def test_dual_cells_count_against_the_same_capacity(self, monkeypatch):
+        # Chunks hold 10 realizations whatever their column count, with a dual cell or without.
         cfgs = [small_config(n=9, seed=1), small_config(n=1, seed=2, dual=True),
                 small_config(n=7, seed=3), small_config(n=1, seed=4), small_config(n=2, seed=5, dual=True)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
         stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=10)
         assert [raw_bytes(s) for s in stats] == alone
-        assert [[count for _, count in runs] for runs in chunks] == [[9], [1, 7], [1, 2]]
+        assert [[count for _, count in runs] for runs in chunks] == [[9, 1], [7, 1, 2]]
+
+    def test_default_size_dual_cells_run_whole(self, monkeypatch):
+        # Two 1000-realization dual-basis cells: one engine pass each at the default sizes.
+        cfgs = [EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0), master_seed=seed,
+                               params=AlgorithmParams(iterations=2), dual_basis=True) for seed in (1, 2)]
+        engine, calls = ensemble.run_lockstep, []
+        monkeypatch.setattr(ensemble, "run_lockstep",
+                            lambda *args, **kwargs: calls.append(len(args[2])) or engine(*args, **kwargs))
+        assert [stats.n_realizations for stats in run_ensembles(cfgs)] == [1000, 1000]
+        assert calls == [1000, 1000]  # six columns do not shrink a chunk
 
     def test_cells_share_a_chunk_only_while_their_moments_fit(self, monkeypatch):
-        # At 700 iterations a cell's mean and scatter take 44 800 bytes, so the
-        # buffers of 27 realizations (110 592 bytes) leave room for two cells' moments.
+        # At 700 iterations a cell's mean and scatter take 44 800 bytes, so a
+        # budget of 110 592 bytes leaves room for two cells' moments.
         cfgs = [small_config(n=2, iters=700, seed=i) for i in range(5)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27, moment_bytes=110_592)
         assert [raw_bytes(s) for s in stats] == alone
         assert [[count for _, count in runs] for runs in chunks] == [[2, 2], [2, 2], [2]]
 
     def test_moments_count_each_cell_at_its_own_columns(self, monkeypatch):
         # At 700 iterations a cell's mean and scatter take 44 800 bytes at 4 columns and 67 200
-        # at 6, so the buffers of 27 dual-basis realizations (138 240 bytes) hold the moments of
-        # a dual cell and one plain cell, or of three plain cells, but not of a dual and two plain.
+        # at 6, so a budget of 138 240 bytes holds the moments of a dual cell and one plain
+        # cell, or of three plain cells, but not of a dual and two plain.
         cfgs = [small_config(n=2, iters=700, seed=i, dual=i in (0, 4)) for i in range(5)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27, moment_bytes=138_240)
         assert [raw_bytes(s) for s in stats] == alone
         assert [[count for _, count in runs] for runs in chunks] == [[2, 2], [2, 2], [2]]
 
     def test_yields_each_cell_once_its_last_chunk_is_folded(self, monkeypatch):
         cfgs = [small_config(n=2, seed=1), small_config(n=2, seed=2), small_config(n=9, seed=3)]
-        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", 4 * 8 * BLOCK * 8)
+        monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", 4)
         engine, calls = ensemble.run_lockstep, []
         monkeypatch.setattr(ensemble, "run_lockstep",
                             lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from qrl import ensemble
-from qrl.agent import BLOCK, AlgorithmParams
+from qrl.agent import AlgorithmParams
 from qrl.channels import Channel
 from qrl.ensemble import EnsembleConfig, run_ensemble
 from qrl.output import emit_csv
@@ -95,8 +95,7 @@ def _run(name, monkeypatch):
     )
     chunks = []
     if name in CHUNKS:
-        chunk_bytes = CHUNKS[name] * 8 * BLOCK * (4 + (6 if dual else 4))
-        monkeypatch.setattr(ensemble, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", CHUNKS[name])
         engine = ensemble.run_lockstep
 
         def counted(channel, params, seeds, fold, **kwargs):
