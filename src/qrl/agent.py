@@ -26,14 +26,30 @@ lives in ``tests/oracles.py``, as the reference the tests check against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import EXCITED, GROUND, Channel, pure_prob_zero
-from .linalg import IDENTITY, axis_rotation, overlap_magnitude
+from .linalg import IDENTITY, overlap_magnitude
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
+# Read-only Pauli X, Y, Z, stacked to broadcast against (3, m, 1, 1) half-angles,
+# and the offsets of a kick's alpha, beta, gamma draws from the cursor past its measurement draw.
+_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)[:, None]
+_ANGLE_OFFSETS = np.arange(3)[:, None]
+for _m in (_XYZ, _ANGLE_OFFSETS):
+    _m.setflags(write=False)
+
+
+def _store_integer(owner, name: str) -> None:
+    """Store field ``name`` of the frozen ``owner`` as an int, or raise a ValueError naming it."""
+    value = getattr(owner, name)
+    try:
+        object.__setattr__(owner, name, operator.index(value))  # numpy integers become ints
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,7 @@ class AlgorithmParams:
             raise ValueError(f"reward_rate must be in (0, 1), got {self.reward_rate}")
         if not (self.punish_rate > 1.0 and math.isfinite(self.punish_rate)):
             raise ValueError(f"punish_rate must be finite and > 1, got {self.punish_rate}")
+        _store_integer(self, "iterations")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -82,9 +99,10 @@ class IterationRecord:
     f_g_b1: float | None = None
 
 
-def _rotation(angles) -> np.ndarray:
-    """Kick Ry(beta) Rz(gamma) Rx(alpha) from (alpha, beta, gamma); (3, ...) arrays give a stack."""
-    rx, ry, rz = axis_rotation("XYZ", angles)
+def _rotation(angles: np.ndarray) -> np.ndarray:
+    """Kicks Ry(beta) Rz(gamma) Rx(alpha) per column of (3, m) angles; Rp(t) = cos(t/2) I - i sin(t/2) P."""
+    half = 0.5 * angles[..., None, None]
+    rx, ry, rz = np.cos(half) * IDENTITY - 1j * np.sin(half) * _XYZ
     return ry @ rz @ rx
 
 
@@ -119,15 +137,15 @@ def run_lockstep(
     rows = np.array([1, 2, 4, 5][: len(state) - 2])
     targets = np.array([EXCITED, GROUND] * 2)[: len(rows)]
     bits = np.array([0, 0, 1, 1])[: len(rows)]
-    # P(0) terms per realization: survival, coherence and adn (bool), each an n-vector.
+    # P(0) terms per realization: rows survival, coherence and adn (1.0 or 0.0).
     counts = [count for _, count in channels]
-    terms = [np.repeat(term, counts) for term in zip(*(c.prob_zero_terms() for c, _ in channels))]
+    terms = np.repeat(np.array([c.prob_zero_terms() for c, _ in channels]).T, counts, axis=1)
 
     def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
         fidelity = overlap_magnitude(targets, unitaries, bits).T
         state[rows[:, None], at] = fidelity
         state[3, at] = np.maximum(fidelity[0], fidelity[1])
-        p_zero[at] = pure_prob_zero([term[at] for term in terms], fidelity[0] ** 2, fidelity[1] ** 2)
+        p_zero[at] = pure_prob_zero(terms[:, at], fidelity[0] ** 2, fidelity[1] ** 2)
 
     refresh(np.arange(n), transform)
     block, punished = np.empty((n, len(state), BLOCK)), np.empty((BLOCK, n), dtype=bool)
@@ -145,7 +163,7 @@ def run_lockstep(
             if kicked.size:
                 at = cursor[kicked]  # alpha, beta, gamma follow the measurement draw
                 half_width = w_kicked * math.pi
-                angles = -half_width + (half_width + half_width) * flat[at + np.arange(3)[:, None]]
+                angles = -half_width + (half_width + half_width) * flat[at + _ANGLE_OFFSETS]
                 transform[kicked] = kicked_transform = transform[kicked] @ _rotation(angles)
                 cursor[kicked] = at + 3
                 refresh(kicked, kicked_transform)

