@@ -26,30 +26,20 @@ lives in ``tests/oracles.py``, as the reference the tests check against.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EXCITED, GROUND, Channel, pure_prob_zero
-from .linalg import IDENTITY, overlap_magnitude
+from .channels import EXCITED, GROUND, Channel, _store_numbers, overlap_magnitude, pure_prob_zero
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
-# Read-only Pauli X, Y, Z, stacked to broadcast against (3, m, 1, 1) half-angles,
+# The read-only identity and Pauli X, Y, Z, stacked to broadcast against (3, m, 1, 1) half-angles,
 # and the offsets of a kick's alpha, beta, gamma draws from the cursor past its measurement draw.
+IDENTITY = np.eye(2, dtype=complex)
 _XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)[:, None]
 _ANGLE_OFFSETS = np.arange(3)[:, None]
-for _m in (_XYZ, _ANGLE_OFFSETS):
+for _m in (IDENTITY, _XYZ, _ANGLE_OFFSETS):
     _m.setflags(write=False)
-
-
-def _store_integer(owner, name: str) -> None:
-    """Store field ``name`` of the frozen ``owner`` as an int, or raise a ValueError naming it."""
-    value = getattr(owner, name)
-    try:
-        object.__setattr__(owner, name, operator.index(value))  # numpy integers become ints
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -68,11 +58,12 @@ class AlgorithmParams:
     iterations: int = 500
 
     def __post_init__(self):
+        _store_numbers(self, float, "reward_rate", "punish_rate")
+        _store_numbers(self, int, "iterations")
         if not 0.0 < self.reward_rate < 1.0:
             raise ValueError(f"reward_rate must be in (0, 1), got {self.reward_rate}")
         if not (self.punish_rate > 1.0 and math.isfinite(self.punish_rate)):
             raise ValueError(f"punish_rate must be finite and > 1, got {self.punish_rate}")
-        _store_integer(self, "iterations")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 

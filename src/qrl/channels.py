@@ -21,25 +21,60 @@ independent target for the Kraus-form evaluation used in the tests:
     amplitude damping:  excited population decays by exp(-2*tau/t_dec),
                         same off-diagonal factor
     noiseless:          the t_dec = inf limit of either
+
+The states' projectors come from :func:`density_from_pure`, and
+:func:`overlap_magnitude` reads |<target|U|b>| per unitary of a stack with
+the bits of single calls; all arrays are in the computational basis.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 NOISE_KINDS = ("noiseless", "pdn", "adn")
+
+# Entrywise tolerance for invariant checks on directly constructed objects.
+ATOL = 1e-12
+
+
+def _store_numbers(owner, kind: type, *names: str) -> None:
+    """Store fields ``names`` of the frozen ``owner`` as ``kind``, int or float, or raise naming one."""
+    for name in names:
+        value = getattr(owner, name)  # numpy scalars pass and are stored as Python numbers
+        if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+            what = "an integer" if kind is int else "a real number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        object.__setattr__(owner, name, kind(value))
+
+
+def density_from_pure(psi: np.ndarray) -> np.ndarray:
+    """Rank-1 projector |psi><psi| of a normalized pure state (or a stack of them)."""
+    psi = np.asarray(psi, dtype=complex)
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
+def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit) -> float | np.ndarray:
+    """|<target| U |b>| for a computational basis bit b in {0, 1}, per unitary of a stack.
+
+    Stacked targets (m, 2) with m basis bits add a trailing axis: entry j reads target j, bit j.
+    """
+    bits = np.asarray(basis_bit)
+    columns = unitary[..., bits].swapaxes(-1, -2) if bits.ndim else unitary[..., :, basis_bit]
+    amplitude = np.vecdot(target, columns)
+    # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.
+    return np.hypot(amplitude.real, amplitude.imag)
+
 
 # The read-only energy eigenstates, their projectors and the eigenbasis-to-computational map.
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 EXCITED = np.array([0.5, _HALF_ROOT3], dtype=complex)
 GROUND = np.array([-_HALF_ROOT3, 0.5], dtype=complex)
-_EXCITED_PROJ = np.outer(EXCITED, EXCITED.conj())
-_GROUND_PROJ = np.outer(GROUND, GROUND.conj())
+_EXCITED_PROJ = density_from_pure(EXCITED)
+_GROUND_PROJ = density_from_pure(GROUND)
 _EIG_TO_COMP = np.column_stack([EXCITED, GROUND])
 for _m in (EXCITED, GROUND, _EXCITED_PROJ, _GROUND_PROJ, _EIG_TO_COMP):
     _m.setflags(write=False)
@@ -64,6 +99,7 @@ class Channel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {NOISE_KINDS}")
+        _store_numbers(self, float, "tau", "t_dec")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if math.isnan(self.t_dec) or self.t_dec <= 0.0:
@@ -145,7 +181,7 @@ def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float:
     evolved = apply_channel(channel, rho)
     # Tr[rho evolved] as a conjugated elementwise sum; rho is Hermitian.
     raw = np.vdot(rho, evolved).real
-    if raw < -linalg.ATOL or raw > 1.0 + linalg.ATOL:
+    if raw < -ATOL or raw > 1.0 + ATOL:
         raise ValueError(
             f"measurement probability {raw!r} outside tolerance band; "
             "channel or input state is invalid"

@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .agent import AlgorithmParams, _store_integer, run_lockstep
-from .channels import Channel
+from .agent import AlgorithmParams, run_lockstep
+from .channels import Channel, _store_numbers
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -60,8 +60,14 @@ class EnsembleConfig:
     dual_basis: bool = False
 
     def __post_init__(self):
-        _store_integer(self, "n_realizations")
-        _store_integer(self, "master_seed")
+        if not isinstance(self.channel, Channel):
+            raise ValueError(f"channel must be a Channel, got {self.channel!r}")
+        if not isinstance(self.params, AlgorithmParams):
+            raise ValueError(f"params must be AlgorithmParams, got {self.params!r}")
+        if not isinstance(self.dual_basis, (bool, np.bool_)):
+            raise ValueError(f"dual_basis must be a bool, got {self.dual_basis!r}")
+        object.__setattr__(self, "dual_basis", bool(self.dual_basis))
+        _store_numbers(self, int, "n_realizations", "master_seed")
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if not 0 <= self.master_seed <= _MASK64:

@@ -8,7 +8,10 @@ one realization, one iteration at a time, with P(0) from the density
 matrix through ``measurement_prob_zero`` and each kick built from three
 ``axis_rotation`` calls. It shares no loop and no rotation code with
 ``qrl.agent.run_lockstep``, the package's one engine, and the tests check
-that engine against it bit for bit.
+that engine against it bit for bit. From the package it takes the
+parameters, records and ``IDENTITY`` of ``qrl.agent`` and, from
+``qrl.channels``, the eigenstates, ``ATOL``, the projector
+``density_from_pure`` and the readout ``overlap_magnitude``.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qrl.agent import AlgorithmParams, IterationRecord
-from qrl.channels import EXCITED, GROUND, Channel, measurement_prob_zero
-from qrl.linalg import ATOL, IDENTITY, density_from_pure, overlap_magnitude
+from qrl.agent import IDENTITY, AlgorithmParams, IterationRecord
+from qrl.channels import ATOL, EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero, overlap_magnitude
 
 # Looser tolerance for products of several operations.
 ATOL_COMPOSED = 1e-10

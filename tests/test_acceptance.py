@@ -13,19 +13,19 @@ import numpy as np
 
 from oracles import hermitian_eigenvalues, random_density
 from qrl import ensemble, run_realization
-from qrl.agent import AlgorithmParams
+from qrl.agent import IDENTITY, AlgorithmParams
 from qrl.channels import (
     EXCITED,
     GROUND,
     Channel,
     apply_channel,
+    density_from_pure,
     hamiltonian_unitary,
     kraus_pair,
     measurement_prob_zero,
 )
 from qrl.cli import main
 from qrl.ensemble import EnsembleConfig, run_ensemble
-from qrl.linalg import IDENTITY, density_from_pure
 
 TAU1 = 1.0
 TAU2PI = 2.0 * math.pi

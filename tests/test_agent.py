@@ -10,9 +10,8 @@ from scipy.linalg import expm
 import oracles
 from oracles import AgentState, axis_rotation, is_unitary, pauli, step
 from qrl import agent
-from qrl.agent import BLOCK, AlgorithmParams, _rotation, run_lockstep, run_realization
-from qrl.channels import EXCITED, GROUND, Channel, measurement_prob_zero
-from qrl.linalg import IDENTITY, density_from_pure, overlap_magnitude
+from qrl.agent import BLOCK, IDENTITY, AlgorithmParams, _rotation, run_lockstep, run_realization
+from qrl.channels import EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero, overlap_magnitude
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -75,6 +74,12 @@ class TestAlgorithmParams:
     def test_rejects_bad_punish(self, punish):
         with pytest.raises(ValueError, match="punish_rate"):
             AlgorithmParams(punish_rate=punish)
+
+    @pytest.mark.parametrize("field, value", [("reward_rate", None), ("reward_rate", "0.9"),
+                                              ("punish_rate", "1.5"), ("punish_rate", None), ("punish_rate", 2j)])
+    def test_rejects_a_non_number_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            AlgorithmParams(**{field: value})
 
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -389,6 +394,34 @@ class TestRunLockstep:
         assert draws.tolist() == [4 * iterations] * len(seeds)
         assert np.concatenate(flags, axis=1).all()
         assert np.all(np.concatenate(blocks, axis=1) == 1.0)
+
+    def test_a_draw_equal_to_p_zero_is_a_reward(self, monkeypatch):
+        tie = 0.375  # every P(0) and every draw
+
+        class Tied:  # a generator whose every uniform is the tie
+            def __init__(self, seed):
+                pass
+
+            def random(self, out):
+                out[...] = tie
+
+        monkeypatch.setattr(np.random, "default_rng", Tied)
+        monkeypatch.setattr(agent, "pure_prob_zero", lambda terms, pe, pg: np.full_like(pe, tie))
+        ws, flags = [], []
+
+        def fold(k0, block, punished):
+            ws.append(block[:, 0].copy())
+            flags.append(punished.copy())
+
+        params = AlgorithmParams(reward_rate=0.8, iterations=BLOCK + 5)
+        draws = run_lockstep([(Channel(kind="pdn", tau=1.0, t_dec=2.0), 3)], params, [0, 1, 2], fold)
+        assert not np.concatenate(flags, axis=1).any()
+        assert draws.tolist() == [params.iterations] * 3
+        expected, w = [], 1.0
+        for _ in range(params.iterations):
+            w *= params.reward_rate
+            expected.append(w)
+        assert np.concatenate(ws, axis=1).tolist() == [expected] * 3
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_public_records_match_oracle(self, case, monkeypatch):

@@ -42,6 +42,13 @@ def test_public_names_are_pinned():
     ]
 
 
+def test_modules_are_pinned():
+    # A module is added or removed only by editing this list too.
+    assert sorted(path.name for path in SRC.glob("*.py")) == [
+        "__init__.py", "agent.py", "channels.py", "cli.py", "ensemble.py", "output.py",
+    ]
+
+
 def test_option_surface_is_pinned():
     # A run flag, sweep key or learning parameter is added only by editing these lists too.
     assert list(_RUN_KEYS) == [

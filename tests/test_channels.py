@@ -12,14 +12,14 @@ from qrl.channels import (
     GROUND,
     Channel,
     apply_channel,
+    density_from_pure,
     hamiltonian_unitary,
     kraus_pair,
     measurement_prob_zero,
     pure_prob_zero,
 )
 from oracles import is_density_matrix, pauli, random_density
-from qrl.agent import _XYZ
-from qrl.linalg import IDENTITY, density_from_pure
+from qrl.agent import IDENTITY, _XYZ
 
 EXCITED_PROJ = density_from_pure(EXCITED)
 GROUND_PROJ = density_from_pure(GROUND)
@@ -72,6 +72,12 @@ class TestChannelValidation:
     def test_rejects_bad_t_dec(self, t_dec):
         with pytest.raises(ValueError, match="t_dec"):
             Channel(kind="adn", tau=1.0, t_dec=t_dec)
+
+    @pytest.mark.parametrize("field, value", [("tau", "1"), ("tau", None), ("tau", 1j), ("t_dec", "inf"),
+                                              ("t_dec", None), ("t_dec", [1.0])])
+    def test_rejects_a_non_number_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            Channel(**{"kind": "adn", "tau": 1.0, "t_dec": 1.0, field: value})
 
     def test_noiseless_forces_infinite_t_dec(self):
         assert Channel(kind="noiseless", tau=1.0, t_dec=3.0).t_dec == math.inf

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 
 from qrl import ensemble, run_realization
 from qrl.agent import BLOCK, AlgorithmParams
-from qrl.channels import EXCITED, GROUND, Channel
+from qrl.channels import EXCITED, GROUND, Channel, overlap_magnitude
 from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble, run_ensembles
-from qrl.linalg import overlap_magnitude
 
 STAT_NAMES = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
               "f_e_b1", "f_g_b1", "se_f_e_b1", "se_f_g_b1")
@@ -59,6 +59,22 @@ class TestConfig:
         assert config == plain
         assert {type(v) for v in (config.n_realizations, config.master_seed, config.params.iterations)} == {int}
         assert run_ensemble(config).f_max.tobytes() == run_ensemble(plain).f_max.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("channel", "adn"), ("channel", None), ("params", None), ("params", {"iterations": 5}),
+        ("dual_basis", "false"), ("dual_basis", 1), ("dual_basis", None),
+    ])
+    def test_rejects_a_field_of_the_wrong_type_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            dataclasses.replace(small_config(), **{field: value})
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        config = EnsembleConfig(Channel("adn", np.float32(0.5), np.float64(2.0)),
+                                AlgorithmParams(np.float64(0.75), np.float32(1.25), 60), 3, dual_basis=np.True_)
+        plain = EnsembleConfig(Channel("adn", 0.5, 2.0), AlgorithmParams(0.75, 1.25, 60), 3, dual_basis=True)
+        assert config == plain
+        values = (config.channel.tau, config.channel.t_dec, config.params.reward_rate, config.params.punish_rate)
+        assert {type(v) for v in values} == {float} and type(config.dual_basis) is bool
 
     def test_seed_range_is_64_bit(self):
         assert small_config(seed=2**64 - 1).master_seed == 2**64 - 1

@@ -17,7 +17,8 @@ from oracles import (
     random_density,
     random_unitary,
 )
-from qrl.linalg import ATOL, IDENTITY, density_from_pure, overlap_magnitude
+from qrl.agent import IDENTITY
+from qrl.channels import ATOL, density_from_pure, overlap_magnitude
 
 EXCITED = np.array([0.5, math.sqrt(3) / 2], dtype=complex)
 GROUND = np.array([-math.sqrt(3) / 2, 0.5], dtype=complex)
