@@ -44,8 +44,8 @@ ATOL = 1e-12
 def _store_numbers(owner, kind: type, *names: str) -> None:
     """Store fields ``names`` of the frozen ``owner`` as ``kind``, int or float, or raise naming one."""
     for name in names:
-        value = getattr(owner, name)  # numpy scalars pass and are stored as Python numbers
-        if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        value = getattr(owner, name)  # numpy scalars pass and are stored as Python numbers; a bool fails
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
             what = "an integer" if kind is int else "a real number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
         object.__setattr__(owner, name, kind(value))
@@ -84,21 +84,21 @@ for _m in (EXCITED, GROUND, _EXCITED_PROJ, _GROUND_PROJ, _EIG_TO_COMP):
 class Channel:
     """Immutable evolution descriptor.
 
-    ``kind`` is one of 'noiseless', 'pdn' (phase damping) or 'adn'
-    (amplitude damping). ``tau`` is the dimensionless evolution time per
-    step (> 0) and ``t_dec`` the dimensionless decoherence time (> 0,
-    ``math.inf`` allowed). A noiseless channel always carries
-    ``t_dec = inf``; a damping kind with ``t_dec = inf`` behaves
-    identically to the noiseless one.
+    ``kind`` is one of 'noiseless' (the default), 'pdn' (phase damping) or
+    'adn' (amplitude damping), stored as ``str``. ``tau`` is the dimensionless
+    evolution time per step (> 0, default 1) and ``t_dec`` the dimensionless
+    decoherence time (> 0, default ``math.inf``, always inf when noiseless);
+    a damping kind with ``t_dec = inf`` behaves identically to the noiseless one.
     """
 
-    kind: str
-    tau: float
+    kind: str = "noiseless"
+    tau: float = 1.0
     t_dec: float = math.inf
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {NOISE_KINDS}")
+        object.__setattr__(self, "kind", str(self.kind))
         _store_numbers(self, float, "tau", "t_dec")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")

@@ -15,10 +15,10 @@ exits 1. Two sweep blocks whose ``out`` names one file, an ``out`` that names th
 file, or a plot ``--out`` that names one of its inputs exit 2; paths are compared after
 joining ``--out-dir`` and following links. Charts come only from ``qrl plot``.
 
-The run flags and sweep keys parse straight into the library's frozen ``EnsembleConfig``;
-a key left unset takes the library's default, but ``noise`` (none) and ``ttau`` (1) have
-none there. The sweep config file holds flat ``key = value`` lines with those keys; blank
-lines separate run blocks and ``#`` starts a comment. Every block needs a non-empty
+The run flags and sweep keys parse straight into the library's frozen ``EnsembleConfig``,
+which validates them; a key left unset takes the library's default. The sweep config file,
+UTF-8 with or without a byte-order mark, holds flat ``key = value`` lines with those keys;
+blank lines separate run blocks and ``#`` starts a comment. Every block needs a non-empty
 ``out`` path for its CSV. Narrow consecutive blocks with equal learning parameters share
 one lockstep engine run, single- and dual-basis alike, with unchanged bytes; each CSV is
 written once its block is known. A block that fails to compute or write is reported and
@@ -57,13 +57,6 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-
-
 def _noise(text: str) -> str:
     """The channel kind a noise name selects."""
     if text not in _KIND_BY_NOISE:
@@ -88,9 +81,9 @@ _RUN_KEYS = {
     "tdec": (_number, "dimensionless decoherence time, or inf", "t_dec"),
     "reward": (_number, "reward rate in (0, 1)", "reward_rate"),
     "punish": (_number, "punishment rate > 1", "punish_rate"),
-    "iters": (_integer, "iterations per realization", "iterations"),
-    "realizations": (_integer, "number of Monte Carlo realizations", "n_realizations"),
-    "seed": (_integer, "master seed in [0, 2^64)", "master_seed"),
+    "iters": (int, "iterations per realization", "iterations"),
+    "realizations": (int, "number of Monte Carlo realizations", "n_realizations"),
+    "seed": (int, "master seed in [0, 2^64)", "master_seed"),
     "dual_basis": (_flag, "also record fidelities of the flipped-bit preparation", "dual_basis"),
     "out": (str, "CSV output path (stdout when omitted)", None),
 }
@@ -103,9 +96,7 @@ def _config(values: dict) -> EnsembleConfig:
     given = {_RUN_KEYS[key][2]: value for key, value in values.items()}
     channel, params, cell = ({f.name: given[f.name] for f in fields(cls) if f.name in given}
                              for cls in (Channel, AlgorithmParams, EnsembleConfig))
-    # A channel has no default kind or tau; the CLI's are noise none and ttau 1.
-    return EnsembleConfig(Channel(**{"kind": "noiseless", "tau": 1.0, **channel}),
-                          AlgorithmParams(**params), **cell)
+    return EnsembleConfig(Channel(**channel), AlgorithmParams(**params), **cell)
 
 
 def _clash(paths: list[str], base: Path) -> tuple[int, int] | None:
@@ -159,8 +150,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     return argparse.Namespace(command="run", config=config, out=values.get("out"))
 
 
-def parse_sweep_text(text: str, base: Path = Path(".")) -> list[tuple[EnsembleConfig, str]]:
-    """Parse and validate sweep config content, outputs under ``base``: a (config, out) per block."""
+def parse_sweep_text(text: str) -> list[tuple[EnsembleConfig, str]]:
+    """Parse and validate sweep config content: a (config, out) per block, paths unchecked."""
     blocks: list[dict] = []
     current: dict = {}
     for lineno, raw in enumerate([*text.splitlines(), ""], start=1):  # "" ends the last block
@@ -181,7 +172,7 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[tuple[EnsembleCo
             raise SweepFormatError(f"line {lineno}: duplicate key {key!r} in block")
         try:
             current[key] = _RUN_KEYS[key][0](value)
-        except argparse.ArgumentTypeError as exc:
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise SweepFormatError(f"line {lineno}: {exc}") from None
     if not blocks:
         raise SweepFormatError("no run blocks found")
@@ -194,18 +185,16 @@ def parse_sweep_text(text: str, base: Path = Path(".")) -> list[tuple[EnsembleCo
         if "out" not in block:
             raise SweepFormatError(f"block {i}: missing 'out' path")
         cells.append((config, block["out"]))
-    clash = _clash([out for _, out in cells], base)
-    if clash:
-        i, j = clash
-        raise SweepFormatError(f"blocks {i + 1} and {j + 1} both write {cells[i][1]!r}")
     return cells
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     base = Path(ns.out_dir or ".")
-    cells = parse_sweep_text(read_text(ns.config), base)
+    cells = parse_sweep_text(read_text(ns.config))
     if clash := _clash([os.path.realpath(ns.config), *(out for _, out in cells)], base):
-        raise SweepFormatError(f"block {clash[1]}: out names the config file {ns.config!r}")
+        i, j = clash  # entry 0 is the config file, so entry i is block i
+        raise SweepFormatError(f"blocks {i} and {j} both write {cells[i - 1][1]!r}" if i
+                               else f"block {j}: out names the config file {ns.config!r}")
     base.mkdir(parents=True, exist_ok=True)
 
     failed = []

@@ -36,8 +36,8 @@ def check_source(path: str | Path) -> Path:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file at ``path``, read through ``check_source``."""
-    with open(check_source(path), encoding="utf-8") as handle:
+    """The UTF-8 text of the file at ``path``, a leading byte-order mark dropped, read through ``check_source``."""
+    with open(check_source(path), encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -81,8 +81,8 @@ def _write_csv(stats: EnsembleStats, handle: TextIO) -> None:
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read an emitted CSV back into column arrays keyed by header name."""
-    with open(check_source(path), encoding="utf-8", newline="") as handle:
+    """Read an emitted CSV, a leading byte-order mark dropped, into column arrays keyed by header name."""
+    with open(check_source(path), encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -226,7 +226,7 @@ def test_criterion_08_exploration_parameter_converges():
     report(8, f"12 noisy cells converged; worst W_500 = {worst:.2e}")
 
 
-def test_criterion_09_byte_identical_output_across_workers(tmp_path, monkeypatch):
+def test_criterion_09_byte_identical_output_across_chunk_sizes(tmp_path, monkeypatch):
     """Same master seed gives byte-identical CSV for chunks of 1, 7 and all 60 realizations."""
     args = ["run", "--noise", "adn", "--ttau", "1", "--tdec", "1",
             "--iters", "120", "--realizations", "60", "--seed", "4242"]

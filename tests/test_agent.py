@@ -75,8 +75,9 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError, match="punish_rate"):
             AlgorithmParams(punish_rate=punish)
 
-    @pytest.mark.parametrize("field, value", [("reward_rate", None), ("reward_rate", "0.9"),
-                                              ("punish_rate", "1.5"), ("punish_rate", None), ("punish_rate", 2j)])
+    @pytest.mark.parametrize("field, value", [("reward_rate", None), ("reward_rate", "0.9"), ("reward_rate", False),
+                                              ("punish_rate", "1.5"), ("punish_rate", None), ("punish_rate", 2j),
+                                              ("punish_rate", True)])
     def test_rejects_a_non_number_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             AlgorithmParams(**{field: value})

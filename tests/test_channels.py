@@ -27,7 +27,7 @@ GROUND_PROJ = density_from_pure(GROUND)
 
 def random_channel(rng, kind=None):
     kind = kind or rng.choice(["pdn", "adn"])
-    return Channel(kind=str(kind), tau=rng.uniform(1e-6, 10.0), t_dec=rng.uniform(0.1, 100.0))
+    return Channel(kind=kind, tau=rng.uniform(1e-6, 10.0), t_dec=rng.uniform(0.1, 100.0))
 
 
 def kraus_form(channel, rho):
@@ -73,11 +73,14 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="t_dec"):
             Channel(kind="adn", tau=1.0, t_dec=t_dec)
 
-    @pytest.mark.parametrize("field, value", [("tau", "1"), ("tau", None), ("tau", 1j), ("t_dec", "inf"),
-                                              ("t_dec", None), ("t_dec", [1.0])])
+    @pytest.mark.parametrize("field, value", [("tau", "1"), ("tau", None), ("tau", 1j), ("tau", True),
+                                              ("t_dec", "inf"), ("t_dec", None), ("t_dec", [1.0]), ("t_dec", True)])
     def test_rejects_a_non_number_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             Channel(**{"kind": "adn", "tau": 1.0, "t_dec": 1.0, field: value})
+
+    def test_defaults_are_a_noiseless_unit_step(self):
+        assert Channel() == Channel(kind="noiseless", tau=1.0, t_dec=math.inf)
 
     def test_noiseless_forces_infinite_t_dec(self):
         assert Channel(kind="noiseless", tau=1.0, t_dec=3.0).t_dec == math.inf

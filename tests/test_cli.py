@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrl import AlgorithmParams, Channel, EnsembleConfig, ensemble
+from qrl import AlgorithmParams, Channel, EnsembleConfig, emit_csv, ensemble, run_ensemble
 from qrl.cli import SweepFormatError, main, parse_args, parse_sweep_text
 from qrl.ensemble import run_ensembles
 
@@ -191,7 +192,7 @@ class TestSweepText:
             ("noise = adn\nnoise = pdn", "duplicate key"),
             ("reward = 2", "reward_rate"),
             ("seed = 18446744073709551616\nout = a.csv", "master_seed"),
-            ("out = a.csv\n\nout = ./a.csv", "blocks 1 and 2 both write"),
+            ("iters = 1.5", r"line 1: invalid literal for int\(\) with base 10: '1.5'"),
             ("out = a.csv\nsvg = a.svg", "unknown key 'svg'"),
             ("dual_basis = perhaps", "boolean"),
             ("# only a comment", "no run blocks"),
@@ -200,6 +201,9 @@ class TestSweepText:
     def test_format_errors(self, content, message):
         with pytest.raises(SweepFormatError, match=message):
             parse_sweep_text(content)
+
+    def test_outputs_are_left_to_the_sweep_command(self):
+        assert [out for _, out in parse_sweep_text("out = a.csv\n\nout = a.csv")] == ["a.csv", "a.csv"]
 
     def test_round_trip(self):
         text = (
@@ -255,6 +259,13 @@ class TestRunCommand:
         assert main(["run", "--iters", "5", "--realizations", "2", "--out", str(csv_path)]) == 0
         assert main(["plot", "--csv", str(csv_path), "--out", str(svg_path)]) == 0
         assert svg_path.read_text().count("<polyline") == 1
+
+    def test_bare_run_is_the_library_default_cell(self, tmp_path):
+        path = tmp_path / "r.csv"
+        assert main(["run", "--iters", "40", "--realizations", "30", "--out", str(path)]) == 0
+        expected = io.StringIO()
+        emit_csv(run_ensemble(EnsembleConfig(Channel(), AlgorithmParams(iterations=40), 30)), expected)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "x.csv"
@@ -414,6 +425,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
         assert "blocks 1 and 3 both write 'a.csv'" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+    def test_one_file_named_two_ways_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qrl.cli.run_ensembles", must_not_compute)
+        config = write_sweep(tmp_path, ["out = a.csv", "out = ./a.csv"])
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert "blocks 1 and 2 both write 'a.csv'" in capsys.readouterr().err
 
     def test_fifo_block_fails_before_computing(self, tmp_path, monkeypatch, capsys):
         seeds = []
@@ -596,6 +613,17 @@ class TestPlotCommand:
         assert run_cli(["plot", "--csv", str(bad), str(fifo), "--out", str(out)], tmp_path) == (
             1, f"qrl: {fifo}: exists and is not a regular file\n")
         assert is_fifo(fifo) and not out.exists()
+
+    def test_config_and_csv_with_a_byte_order_mark(self, tmp_path):
+        # Windows editors and Excel's "CSV UTF-8" start a file with the UTF-8 byte-order mark.
+        config = write_sweep(tmp_path, ["out = a.csv"])
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "a.csv").read_bytes())
+        for name in ("a", "marked"):
+            assert main(["plot", "--csv", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / f"{name}.svg")]) == 0
+        assert (tmp_path / "marked.svg").read_text() == (tmp_path / "a.svg").read_text().replace(">a<", ">marked<")
 
     def test_out_linking_to_an_input_exits_2(self, tmp_path, csv_files, capsys):
         link = tmp_path / "chart.svg"

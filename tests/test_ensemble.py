@@ -47,7 +47,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_realizations"):
             small_config(n=0)
 
-    @pytest.mark.parametrize("value", [10.0, "10", None])
+    @pytest.mark.parametrize("value", [10.0, "10", None, True, False])
     @pytest.mark.parametrize("field, arg", [("iterations", "iters"), ("n_realizations", "n"), ("master_seed", "seed")])
     def test_rejects_a_non_integer_count_when_built(self, field, arg, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -69,12 +69,13 @@ class TestConfig:
             dataclasses.replace(small_config(), **{field: value})
 
     def test_numpy_scalars_are_stored_as_python_values(self):
-        config = EnsembleConfig(Channel("adn", np.float32(0.5), np.float64(2.0)),
+        config = EnsembleConfig(Channel(np.str_("adn"), np.float32(0.5), np.float64(2.0)),
                                 AlgorithmParams(np.float64(0.75), np.float32(1.25), 60), 3, dual_basis=np.True_)
         plain = EnsembleConfig(Channel("adn", 0.5, 2.0), AlgorithmParams(0.75, 1.25, 60), 3, dual_basis=True)
         assert config == plain
         values = (config.channel.tau, config.channel.t_dec, config.params.reward_rate, config.params.punish_rate)
         assert {type(v) for v in values} == {float} and type(config.dual_basis) is bool
+        assert type(config.channel.kind) is str
 
     def test_seed_range_is_64_bit(self):
         assert small_config(seed=2**64 - 1).master_seed == 2**64 - 1

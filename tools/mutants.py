@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 LOCKSTEP = "tests/test_agent.py::TestRunLockstep"
 GOLDEN = "tests/test_golden.py"
+PLOT = "tests/test_cli.py::TestPlotCommand"
 
 MUTANTS = (
     Mutant("readout modulus by np.abs", "src/qrl/channels.py",
@@ -80,6 +81,25 @@ MUTANTS = (
            ("tests/test_cli.py",)),
     Mutant("gc.freeze() dropped from the entry", "src/qrl/cli.py",
            "    gc.freeze()\n    return main()", "    return main()", ("tests/test_cli.py",)),
+    Mutant("a bool taken as a number", "src/qrl/channels.py",
+           "if isinstance(value, bool) or not isinstance(", "if not isinstance(",
+           ("tests/test_agent.py::TestAlgorithmParams::test_rejects_a_non_number_when_built",
+            "tests/test_channels.py::TestChannelValidation::test_rejects_a_non_number_when_built",
+            "tests/test_ensemble.py::TestConfig::test_rejects_a_non_integer_count_when_built")),
+    Mutant("channel kind kept as given", "src/qrl/channels.py",
+           '        object.__setattr__(self, "kind", str(self.kind))\n', "",
+           ("tests/test_ensemble.py::TestConfig::test_numpy_scalars_are_stored_as_python_values",)),
+    Mutant("channel default tau changed", "src/qrl/channels.py", "tau: float = 1.0", "tau: float = 2.0",
+           ("tests/test_channels.py::TestChannelValidation::test_defaults_are_a_noiseless_unit_step",)),
+    Mutant("sweep's clash check dropped", "src/qrl/cli.py",
+           "if clash := _clash([os.path.realpath(ns.config), *(out for _, out in cells)], base):",
+           "if clash := None:", ("tests/test_cli.py::TestSweepCommand",)),
+    Mutant("byte-order mark kept by read_text", "src/qrl/output.py",
+           'encoding="utf-8-sig") as', 'encoding="utf-8") as',
+           (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
+    Mutant("byte-order mark kept by read_csv", "src/qrl/output.py",
+           'encoding="utf-8-sig", newline=""', 'encoding="utf-8", newline=""',
+           (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
 )
 
 
