@@ -73,8 +73,8 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="t_dec"):
             Channel(kind="adn", tau=1.0, t_dec=t_dec)
 
-    @pytest.mark.parametrize("field, value", [("tau", "1"), ("tau", None), ("tau", 1j), ("tau", True),
-                                              ("t_dec", "inf"), ("t_dec", None), ("t_dec", [1.0]), ("t_dec", True)])
+    @pytest.mark.parametrize("field, value", [("tau", "1"), ("tau", None), ("tau", 1j), ("t_dec", "inf"),
+                                              ("t_dec", None), ("t_dec", [1.0]), ("tau", True), ("t_dec", True)])
     def test_rejects_a_non_number_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             Channel(**{"kind": "adn", "tau": 1.0, "t_dec": 1.0, field: value})
