@@ -1,4 +1,4 @@
-"""The reinforcement-learning loop: a lockstep engine and its scalar oracle.
+"""The reinforcement-learning loop, run by one lockstep engine.
 
 The agent owns a unitary ``transform`` (the accumulated preparation
 operator) and an exploration parameter ``w``. Each iteration prepares
@@ -20,7 +20,8 @@ alpha (X), beta (Y), gamma (Z) in that order, each uniform on
 (closed-form P(0), streamed draws, one rotation and one readout call per
 step for all kicks). The ensemble runs it over many seeds and
 ``run_realization`` over one. The scalar loop it reproduces bit for bit
-lives in ``tests/oracles.py``, as the reference the tests check against.
+lives in ``tests/oracles.py``, as the reference the tests check against;
+the two share no rotation and no readout code.
 """
 
 from __future__ import annotations
@@ -30,15 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import EXCITED, GROUND, Channel, _store_numbers, overlap_magnitude, pure_prob_zero
+from .channels import EXCITED, GROUND, Channel, _store_numbers, pure_prob_zero
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 # The read-only identity and Pauli X, Y, Z, stacked to broadcast against (3, m, 1, 1) half-angles,
-# and the offsets of a kick's alpha, beta, gamma draws from the cursor past its measurement draw.
+# the readout's targets and the basis bits they are read from (rows f_e, f_g, f_e_b1, f_g_b1), and
+# the offsets of a kick's alpha, beta, gamma draws from the cursor past its measurement draw.
 IDENTITY = np.eye(2, dtype=complex)
 _XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)[:, None]
+_TARGETS, _BITS = np.array([EXCITED, GROUND, EXCITED, GROUND]), np.array([0, 0, 1, 1])
 _ANGLE_OFFSETS = np.arange(3)[:, None]
-for _m in (IDENTITY, _XYZ, _ANGLE_OFFSETS):
+for _m in (IDENTITY, _XYZ, _TARGETS, _BITS, _ANGLE_OFFSETS):
     _m.setflags(write=False)
 
 
@@ -68,7 +71,7 @@ class AlgorithmParams:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationRecord:
     """Per-iteration observables, indexed by the post-update step count k.
 
@@ -76,7 +79,7 @@ class IterationRecord:
     with the excited and ground eigenstates, ``f_max`` their maximum, and
     ``p_zero`` the outcome-0 probability the measurement draw used. The
     ``*_b1`` fidelities describe the state prepared from the flipped
-    basis bit and are filled only when a run asks for them.
+    basis bit 1.
     """
 
     k: int
@@ -86,8 +89,8 @@ class IterationRecord:
     f_g: float
     f_max: float
     p_zero: float
-    f_e_b1: float | None = None
-    f_g_b1: float | None = None
+    f_e_b1: float
+    f_g_b1: float
 
 
 def _rotation(angles: np.ndarray) -> np.ndarray:
@@ -95,6 +98,13 @@ def _rotation(angles: np.ndarray) -> np.ndarray:
     half = 0.5 * angles[..., None, None]
     rx, ry, rz = np.cos(half) * IDENTITY - 1j * np.sin(half) * _XYZ
     return ry @ rz @ rx
+
+
+def _readout(unitaries: np.ndarray, m: int) -> np.ndarray:
+    """|<target|U|bit>| of the first m ``_TARGETS`` and ``_BITS`` per unitary of an (n, 2, 2) stack, as (m, n)."""
+    amplitude = np.vecdot(_TARGETS[:m], unitaries[..., _BITS[:m]].swapaxes(-1, -2))
+    # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.
+    return np.hypot(amplitude.real, amplitude.imag).T
 
 
 def run_lockstep(
@@ -124,16 +134,13 @@ def run_lockstep(
     transform = np.repeat(IDENTITY[None], n, axis=0)
     state = np.ones((6 if dual_basis else 4, n))  # rows w, f_e, f_g, f_max [, f_e_b1, f_g_b1]
     w, p_zero = state[0], np.empty(n)
-    # Overlap readouts: their state rows, targets and the basis bits they prepare from.
-    rows = np.array([1, 2, 4, 5][: len(state) - 2])
-    targets = np.array([EXCITED, GROUND] * 2)[: len(rows)]
-    bits = np.array([0, 0, 1, 1])[: len(rows)]
+    rows = np.array([1, 2, 4, 5][: len(state) - 2])  # the state rows of the readouts
     # P(0) terms per realization: rows survival, coherence and adn (1.0 or 0.0).
     counts = [count for _, count in channels]
     terms = np.repeat(np.array([c.prob_zero_terms() for c, _ in channels]).T, counts, axis=1)
 
     def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
-        fidelity = overlap_magnitude(targets, unitaries, bits).T
+        fidelity = _readout(unitaries, len(rows))
         state[rows[:, None], at] = fidelity
         state[3, at] = np.maximum(fidelity[0], fidelity[1])
         p_zero[at] = pure_prob_zero(terms[:, at], fidelity[0] ** 2, fidelity[1] ** 2)
@@ -165,16 +172,14 @@ def run_lockstep(
     return used
 
 
-def run_realization(
-    channel: Channel, params: AlgorithmParams, seed: int, *, dual_basis: bool = False
-) -> list[IterationRecord]:
+def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> list[IterationRecord]:
     """Run one full realization through ``run_lockstep`` and return its iteration records.
 
-    Fully deterministic for a given seed. ``p_zero`` of step k is the engine's
-    ``pure_prob_zero`` of the fidelities of record k - 1 (of the identity
-    for k = 1), and ``outcome`` is the engine's punishment flag of step k.
-    With ``dual_basis`` the records also carry the fidelities of the state
-    prepared from the flipped basis bit 1.
+    Fully deterministic for a given seed. The engine reads both basis bits, so
+    every record carries the flipped-bit fidelities too. ``p_zero`` of step k
+    is the engine's ``pure_prob_zero`` of the fidelities of record k - 1 (of
+    the identity for k = 1), and ``outcome`` is the engine's punishment flag
+    of step k.
     """
     blocks, flags = [], []
 
@@ -182,10 +187,10 @@ def run_realization(
         blocks.append(block[0].copy())
         flags.append(punished[0].copy())
 
-    run_lockstep([(channel, 1)], params, [seed], fold, dual_basis=dual_basis)
-    rows = np.concatenate(blocks, axis=1)  # w, f_e, f_g, f_max [, f_e_b1, f_g_b1] per iteration
+    run_lockstep([(channel, 1)], params, [seed], fold, dual_basis=True)
+    rows = np.concatenate(blocks, axis=1)  # w, f_e, f_g, f_max, f_e_b1, f_g_b1 per iteration
     before = np.empty((2, params.iterations))  # f_e, f_g of the state each step prepares
-    before[:, 0] = [overlap_magnitude(target, IDENTITY, 0) for target in (EXCITED, GROUND)]
+    before[:, :1] = _readout(IDENTITY[None], 2)
     before[:, 1:] = rows[1:3, :-1]
     p_zero = pure_prob_zero(channel.prob_zero_terms(), before[0] ** 2, before[1] ** 2).tolist()
     outcomes = np.concatenate(flags).astype(int).tolist()

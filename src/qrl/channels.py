@@ -22,9 +22,8 @@ independent target for the Kraus-form evaluation used in the tests:
                         same off-diagonal factor
     noiseless:          the t_dec = inf limit of either
 
-The states' projectors come from :func:`density_from_pure`, and
-:func:`overlap_magnitude` reads |<target|U|b>| per unitary of a stack with
-the bits of single calls; all arrays are in the computational basis.
+The states' projectors come from :func:`density_from_pure`; all arrays
+are in the computational basis.
 """
 
 from __future__ import annotations
@@ -55,18 +54,6 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a normalized pure state (or a stack of them)."""
     psi = np.asarray(psi, dtype=complex)
     return psi[..., :, None] * psi.conj()[..., None, :]
-
-
-def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, basis_bit) -> float | np.ndarray:
-    """|<target| U |b>| for a computational basis bit b in {0, 1}, per unitary of a stack.
-
-    Stacked targets (m, 2) with m basis bits add a trailing axis: entry j reads target j, bit j.
-    """
-    bits = np.asarray(basis_bit)
-    columns = unitary[..., bits].swapaxes(-1, -2) if bits.ndim else unitary[..., :, basis_bit]
-    amplitude = np.vecdot(target, columns)
-    # hypot is what scalar abs(complex) computes; np.abs of arrays can differ.
-    return np.hypot(amplitude.real, amplitude.imag)
 
 
 # The read-only energy eigenstates, their projectors and the eigenbasis-to-computational map.

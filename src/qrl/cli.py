@@ -18,11 +18,11 @@ joining ``--out-dir`` and following links. Charts come only from ``qrl plot``.
 The run flags and sweep keys parse straight into the library's frozen ``EnsembleConfig``,
 which validates them; a key left unset takes the library's default. The sweep config file,
 UTF-8 with or without a byte-order mark, holds flat ``key = value`` lines with those keys;
-blank lines separate run blocks and ``#`` starts a comment. Every block needs a non-empty
-``out`` path for its CSV. Narrow consecutive blocks with equal learning parameters share
-one lockstep engine run, single- and dual-basis alike, with unchanged bytes; each CSV is
-written once its block is known. A block that fails to compute or write is reported and
-does not stop the others.
+blank lines separate run blocks and ``#`` starts a comment (a comment line ends no block).
+Every block needs a non-empty ``out`` path for its CSV. Narrow consecutive blocks with equal
+learning parameters share one lockstep engine run, single- and dual-basis alike, with
+unchanged bytes; each CSV is written once its block is known. A block that fails to compute
+or write is reported and does not stop the others.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ def parse_sweep_text(text: str) -> list[tuple[EnsembleConfig, str]]:
     current: dict = {}
     for lineno, raw in enumerate([*text.splitlines(), ""], start=1):  # "" ends the last block
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            if current:
+        if not line:  # a blank line ends a block; a comment line does not
+            if current and not raw.strip():
                 blocks.append(current)
                 current = {}
             continue

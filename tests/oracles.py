@@ -5,13 +5,14 @@ density-matrix checks and the random state and gate samplers sit here,
 next to the tests, so that the package exports only what it runs. So does
 the scalar learning loop (``AgentState``, ``step`` and ``run_realization``):
 one realization, one iteration at a time, with P(0) from the density
-matrix through ``measurement_prob_zero`` and each kick built from three
-``axis_rotation`` calls. It shares no loop and no rotation code with
+matrix through ``measurement_prob_zero``, each kick built from three
+``axis_rotation`` calls and each fidelity read by ``overlap_magnitude``.
+It shares no loop, no rotation and no readout code with
 ``qrl.agent.run_lockstep``, the package's one engine, and the tests check
 that engine against it bit for bit. From the package it takes the
 parameters, records and ``IDENTITY`` of ``qrl.agent`` and, from
-``qrl.channels``, the eigenstates, ``ATOL``, the projector
-``density_from_pure`` and the readout ``overlap_magnitude``.
+``qrl.channels``, the eigenstates, ``ATOL`` and the projector
+``density_from_pure``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qrl.agent import IDENTITY, AlgorithmParams, IterationRecord
-from qrl.channels import ATOL, EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero, overlap_magnitude
+from qrl.channels import ATOL, EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero
 
 # Looser tolerance for products of several operations.
 ATOL_COMPOSED = 1e-10
@@ -50,6 +51,11 @@ def axis_rotation(axis: str, angle: float | np.ndarray) -> np.ndarray:
     """
     half = 0.5 * np.asarray(angle)[..., None, None]
     return np.cos(half) * IDENTITY - 1j * np.sin(half) * pauli(axis)
+
+
+def overlap_magnitude(target: np.ndarray, unitary: np.ndarray, bit: int) -> float:
+    """|<target| U |bit>| for a computational basis bit in {0, 1}."""
+    return abs(np.vdot(target, unitary[:, bit]))
 
 
 def conjugate(unitary: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -117,7 +123,8 @@ def step(
 
     Returns the successor state and the record of this iteration. The
     record's fidelities describe the post-update transform, i.e. the
-    state the next iteration will prepare.
+    state the next iteration will prepare, and the ``*_b1`` ones the state
+    it would prepare from the flipped basis bit 1.
     """
     rho = density_from_pure(state.transform[:, 0])
     p_zero = measurement_prob_zero(channel, rho)
@@ -146,30 +153,21 @@ def step(
         f_g=f_g,
         f_max=max(f_e, f_g),
         p_zero=p_zero,
+        f_e_b1=overlap_magnitude(EXCITED, transform_next, 1),
+        f_g_b1=overlap_magnitude(GROUND, transform_next, 1),
     )
     return AgentState(transform_next, w_next, state.k + 1), record
 
 
-def run_realization(
-    channel: Channel,
-    params: AlgorithmParams,
-    seed: int,
-    *,
-    dual_basis: bool = False,
-) -> list[IterationRecord]:
+def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> list[IterationRecord]:
     """Run one full realization with ``step`` and return its iteration records.
 
-    Fully deterministic for a given seed. With ``dual_basis`` the records
-    also carry the fidelities of the state prepared from the flipped
-    basis bit 1.
+    Fully deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     state = AgentState()
     records = []
     for _ in range(params.iterations):
         state, record = step(state, channel, params, rng)
-        if dual_basis:
-            record.f_e_b1 = overlap_magnitude(EXCITED, state.transform, 1)
-            record.f_g_b1 = overlap_magnitude(GROUND, state.transform, 1)
         records.append(record)
     return records

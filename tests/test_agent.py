@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from oracles import AgentState, axis_rotation, is_unitary, pauli, step
+from oracles import (ATOL_COMPOSED, AgentState, axis_rotation, is_unitary, overlap_magnitude, pauli,
+                     random_unitary, step)
 from qrl import agent
-from qrl.agent import BLOCK, IDENTITY, AlgorithmParams, _rotation, run_lockstep, run_realization
-from qrl.channels import EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero, overlap_magnitude
+from qrl.agent import (BLOCK, IDENTITY, AlgorithmParams, _BITS, _TARGETS, _readout, _rotation, run_lockstep,
+                       run_realization)
+from qrl.channels import ATOL, EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -165,6 +167,31 @@ class TestOnePassKick:
             assert kick.tobytes() == self.three_rotations(*triple).tobytes()
 
 
+class TestReadout:
+    # The oracle's scalar readout, and the engine's stacked one against it bit for bit:
+    # array np.abs can differ from scalar abs in the last bit, and the engine must not.
+    def test_energy_basis_components(self):
+        assert overlap_magnitude(EXCITED, IDENTITY, 0) == pytest.approx(0.5, abs=ATOL)
+        assert overlap_magnitude(GROUND, IDENTITY, 0) == pytest.approx(SQRT3_HALF, abs=ATOL)
+        assert overlap_magnitude(EXCITED, IDENTITY, 1) == pytest.approx(SQRT3_HALF, abs=ATOL)
+
+    def test_completeness_over_orthonormal_targets(self):
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            u = random_unitary(rng)
+            total = overlap_magnitude(EXCITED, u, 0) ** 2 + overlap_magnitude(GROUND, u, 0) ** 2
+            assert total == pytest.approx(1.0, abs=ATOL_COMPOSED)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_stack_keeps_scalar_modulus_bits(self, m):
+        rng = np.random.default_rng(26)
+        stack = np.array([random_unitary(rng) for _ in range(37)])
+        values = _readout(stack, m)
+        assert values.shape == (m, len(stack))
+        for row, target, bit in zip(values, _TARGETS[:m], _BITS[:m], strict=True):
+            assert row.tolist() == [overlap_magnitude(target, u, bit) for u in stack]
+
+
 class TestStep:
     def test_degenerate_time_always_rewards(self):
         channel = Channel(kind="noiseless", tau=2 * math.pi)
@@ -243,6 +270,8 @@ class TestRunRealization:
         first = run_realization(channel, params, seed=77)
         second = run_realization(channel, params, seed=77)
         assert first == second
+        with pytest.raises(dataclasses.FrozenInstanceError):  # records are built whole and stay so
+            first[0].w = 0.0
 
     def test_degenerate_time_run(self):
         channel = Channel(kind="noiseless", tau=2 * math.pi)
@@ -283,15 +312,11 @@ class TestRunRealization:
     def test_dual_basis_records(self):
         channel = Channel(kind="adn", tau=1.0, t_dec=1.0)
         params = AlgorithmParams(iterations=50)
-        records = run_realization(channel, params, seed=21, dual_basis=True)
+        records = run_realization(channel, params, seed=21)
         for record in records:
-            assert record.f_e_b1 is not None
             # D|0> and D|1> are orthogonal, so the fidelities complement.
             assert record.f_e**2 + record.f_e_b1**2 == pytest.approx(1.0, abs=1e-10)
             assert record.f_g**2 + record.f_g_b1**2 == pytest.approx(1.0, abs=1e-10)
-        plain = run_realization(channel, params, seed=21)
-        assert all(record.f_e_b1 is None for record in plain)
-        assert [r.w for r in plain] == [r.w for r in records]
 
     def test_vanishing_w_freezes_transform(self):
         # Once w is tiny, punishments can only nudge the transform by a
@@ -359,7 +384,7 @@ class TestRunLockstep:
         assert trajectories.shape == (len(seeds), 6 if dual else 4, params.iterations)
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
         for j, seed in enumerate(seeds):
-            records = oracles.run_realization(channel, params, seed, dual_basis=dual)
+            records = oracles.run_realization(channel, params, seed)
             for column, name in enumerate(names):
                 assert trajectories[j, column].tolist() == [getattr(r, name) for r in records]
             assert punished[j].tolist() == [r.outcome == 1 for r in records]
@@ -428,13 +453,13 @@ class TestRunLockstep:
     def test_public_records_match_oracle(self, case, monkeypatch):
         # qrl.run_realization rebuilds the oracle's records from one engine run;
         # only p_zero may differ, as the closed form against the density matrix.
-        channel, params, dual = self.CASES[case]
+        channel, params, _ = self.CASES[case]
         used = []
         monkeypatch.setattr(agent, "run_lockstep",
                             lambda *args, **kwargs: used.append(run_lockstep(*args, **kwargs)) or used[-1])
         for j, seed in enumerate(1000 * case + i for i in range(13)):
-            records = run_realization(channel, params, seed, dual_basis=dual)
-            expected = oracles.run_realization(channel, params, seed, dual_basis=dual)
+            records = run_realization(channel, params, seed)
+            expected = oracles.run_realization(channel, params, seed)
             assert len(used) == j + 1
             pairs = list(zip(records, expected, strict=True))
             assert [dataclasses.replace(r, p_zero=e.p_zero) for r, e in pairs] == expected

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -50,7 +51,7 @@ def test_modules_are_pinned():
 
 
 def test_option_surface_is_pinned():
-    # A run flag, sweep key or learning parameter is added only by editing these lists too.
+    # A run flag, sweep key, learning parameter or run_realization option is added only by editing these too.
     assert list(_RUN_KEYS) == [
         "noise", "ttau", "tdec", "reward", "punish", "iters", "realizations", "seed",
         "dual_basis", "out",
@@ -58,6 +59,7 @@ def test_option_surface_is_pinned():
     assert [field.name for field in dataclasses.fields(qrl.AlgorithmParams)] == [
         "reward_rate", "punish_rate", "iterations",
     ]
+    assert list(inspect.signature(qrl.run_realization).parameters) == ["channel", "params", "seed"]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qrl.channels import (
+    ATOL,
     NOISE_KINDS,
     EXCITED,
     GROUND,
@@ -19,7 +20,7 @@ from qrl.channels import (
     pure_prob_zero,
 )
 from oracles import is_density_matrix, pauli, random_density
-from qrl.agent import IDENTITY, _XYZ
+from qrl.agent import IDENTITY, _BITS, _TARGETS, _XYZ
 
 EXCITED_PROJ = density_from_pure(EXCITED)
 GROUND_PROJ = density_from_pure(GROUND)
@@ -54,8 +55,33 @@ class TestEnergyBasis:
 
     def test_kick_paulis_are_read_only(self):
         np.testing.assert_array_equal(_XYZ[:, 0], [pauli(axis) for axis in "XYZ"])
-        with pytest.raises(ValueError):
-            _XYZ[2, 0, 1, 1] = 9.0
+        np.testing.assert_array_equal(_TARGETS, [EXCITED, GROUND, EXCITED, GROUND])
+        assert _BITS.tolist() == [0, 0, 1, 1]
+        for constant, index in ((_XYZ, (2, 0, 1, 1)), (_TARGETS, (3, 0)), (_BITS, 2)):
+            with pytest.raises(ValueError):
+                constant[index] = 9
+
+
+class TestDensityFromPure:
+    def test_basis_states(self):
+        np.testing.assert_array_equal(
+            density_from_pure(np.array([1, 0], dtype=complex)), [[1, 0], [0, 0]]
+        )
+        np.testing.assert_array_equal(
+            density_from_pure(np.array([0, 1], dtype=complex)), [[0, 0], [0, 1]]
+        )
+
+    def test_plus_state(self):
+        plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+        np.testing.assert_allclose(density_from_pure(plus), np.full((2, 2), 0.5), atol=ATOL)
+
+    def test_output_is_valid_density(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi /= np.linalg.norm(psi)
+            assert abs(np.vdot(psi, psi).real - 1.0) <= ATOL
+            assert is_density_matrix(density_from_pure(psi))
 
 
 class TestChannelValidation:

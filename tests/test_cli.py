@@ -170,6 +170,7 @@ class TestSweepText:
         # grid header comment
         noise = adn
         ttau = 2pi   # degenerate evolution time
+        # a comment line inside a block does not end it
         tdec = 1
         out = a.csv
 
@@ -180,7 +181,7 @@ class TestSweepText:
         cells = parse_sweep_text("\n".join(line.strip() for line in text.splitlines()))
         assert len(cells) == 2
         (first, _), (second, second_out) = cells
-        assert first.channel.kind == "adn" and first.channel.tau == 2 * math.pi
+        assert first.channel.kind == "adn" and first.channel.tau == 2 * math.pi and first.channel.t_dec == 1.0
         assert first.params.reward_rate == 0.9  # default fills unset keys
         assert second.dual_basis is True and second_out == "b.csv"
 

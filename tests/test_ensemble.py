@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import overlap_magnitude
 from qrl import ensemble, run_realization
 from qrl.agent import BLOCK, AlgorithmParams
-from qrl.channels import EXCITED, GROUND, Channel, overlap_magnitude
+from qrl.channels import EXCITED, GROUND, Channel
 from qrl.ensemble import EnsembleConfig, mix_seed, run_ensemble, run_ensembles
 
 STAT_NAMES = ("w", "f_e", "f_g", "f_max", "se_w", "se_f_e", "se_f_g", "se_f_max",
@@ -299,7 +300,7 @@ class TestDualBasisFidelities:
     def test_identity_components(self):
         # Noiseless tau = 2 pi always rewards, so the transform stays the identity.
         channel = Channel(kind="noiseless", tau=2 * math.pi)
-        records = run_realization(channel, AlgorithmParams(iterations=5), seed=0, dual_basis=True)
+        records = run_realization(channel, AlgorithmParams(iterations=5), seed=0)
         for record in records:
             assert record.f_e_b1 == pytest.approx(SQRT3_HALF, abs=1e-12)
             assert record.f_g_b1 == pytest.approx(0.5, abs=1e-12)

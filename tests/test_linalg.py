@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oracles import (
@@ -18,10 +16,7 @@ from oracles import (
     random_unitary,
 )
 from qrl.agent import IDENTITY
-from qrl.channels import ATOL, density_from_pure, overlap_magnitude
-
-EXCITED = np.array([0.5, math.sqrt(3) / 2], dtype=complex)
-GROUND = np.array([-math.sqrt(3) / 2, 0.5], dtype=complex)
+from qrl.channels import ATOL
 
 
 class TestPauli:
@@ -111,69 +106,6 @@ class TestConjugate:
         for _ in range(50):
             out = conjugate(random_unitary(rng), random_density(rng))
             assert is_density_matrix(out, atol=1e-10)
-
-
-class TestDensityFromPure:
-    def test_basis_states(self):
-        np.testing.assert_array_equal(
-            density_from_pure(np.array([1, 0], dtype=complex)), [[1, 0], [0, 0]]
-        )
-        np.testing.assert_array_equal(
-            density_from_pure(np.array([0, 1], dtype=complex)), [[0, 0], [0, 1]]
-        )
-
-    def test_plus_state(self):
-        plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-        np.testing.assert_allclose(density_from_pure(plus), np.full((2, 2), 0.5), atol=ATOL)
-
-    def test_output_is_valid_density(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi /= np.linalg.norm(psi)
-            assert abs(np.vdot(psi, psi).real - 1.0) <= ATOL
-            assert is_density_matrix(density_from_pure(psi))
-
-
-class TestOverlapMagnitude:
-    def test_energy_basis_components(self):
-        assert overlap_magnitude(EXCITED, IDENTITY, 0) == pytest.approx(0.5, abs=ATOL)
-        assert overlap_magnitude(GROUND, IDENTITY, 0) == pytest.approx(math.sqrt(3) / 2, abs=ATOL)
-        assert overlap_magnitude(EXCITED, IDENTITY, 1) == pytest.approx(math.sqrt(3) / 2, abs=ATOL)
-
-    def test_completeness_over_orthonormal_targets(self):
-        rng = np.random.default_rng(24)
-        for _ in range(50):
-            u = random_unitary(rng)
-            total = overlap_magnitude(EXCITED, u, 0) ** 2 + overlap_magnitude(GROUND, u, 0) ** 2
-            assert total == pytest.approx(1.0, abs=ATOL_COMPOSED)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        stack=st.sampled_from([(), (1,), (7,), (3, 5)]),
-        bits=st.lists(st.integers(0, 1), min_size=1, max_size=4),
-    )
-    def test_target_stack_equals_single_calls(self, seed, stack, bits):
-        rng = np.random.default_rng(seed)
-        unitaries = rng.normal(size=(*stack, 2, 2)) + 1j * rng.normal(size=(*stack, 2, 2))
-        targets = rng.normal(size=(len(bits), 2)) + 1j * rng.normal(size=(len(bits), 2))
-        values = overlap_magnitude(targets, unitaries, bits)
-        assert values.shape == (*stack, len(bits))
-        for j, (target, bit) in enumerate(zip(targets, bits)):
-            single = np.asarray(overlap_magnitude(target, unitaries, bit))
-            assert values[..., j].tobytes() == single.tobytes()
-
-    def test_stack_keeps_scalar_modulus_bits(self):
-        # Array np.abs can differ from scalar abs in the last bit; the
-        # stacked readout must not.
-        rng = np.random.default_rng(26)
-        stack = np.array([random_unitary(rng) for _ in range(37)])
-        for target in (EXCITED, GROUND):
-            for bit in (0, 1):
-                values = overlap_magnitude(target, stack, bit)
-                expected = [abs(np.vdot(target, u[:, bit])) for u in stack]
-                assert values.tolist() == expected
 
 
 class TestValidators:

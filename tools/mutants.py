@@ -44,9 +44,11 @@ GOLDEN = "tests/test_golden.py"
 PLOT = "tests/test_cli.py::TestPlotCommand"
 
 MUTANTS = (
-    Mutant("readout modulus by np.abs", "src/qrl/channels.py",
-           "return np.hypot(amplitude.real, amplitude.imag)", "return np.abs(amplitude)",
-           ("tests/test_linalg.py::TestOverlapMagnitude",)),
+    Mutant("readout modulus by np.abs", "src/qrl/agent.py",
+           "return np.hypot(amplitude.real, amplitude.imag).T", "return np.abs(amplitude).T",
+           ("tests/test_agent.py::TestReadout",)),
+    Mutant("flipped-bit readouts read bit 0", "src/qrl/agent.py",
+           "np.array([0, 0, 1, 1])", "np.array([0, 0, 0, 0])", (LOCKSTEP,)),
     Mutant("coherence factor 2 dropped", "src/qrl/channels.py",
            "2.0 * survive * math.cos(self.tau)", "survive * math.cos(self.tau)",
            ("tests/test_channels.py::TestPureProbZero",)),
@@ -91,6 +93,8 @@ MUTANTS = (
            ("tests/test_ensemble.py::TestConfig::test_numpy_scalars_are_stored_as_python_values",)),
     Mutant("channel default tau changed", "src/qrl/channels.py", "tau: float = 1.0", "tau: float = 2.0",
            ("tests/test_channels.py::TestChannelValidation::test_defaults_are_a_noiseless_unit_step",)),
+    Mutant("a comment line ends a sweep block", "src/qrl/cli.py",
+           "if current and not raw.strip():", "if current:", ("tests/test_cli.py::TestSweepText",)),
     Mutant("sweep's clash check dropped", "src/qrl/cli.py",
            "if clash := _clash([os.path.realpath(ns.config), *(out for _, out in cells)], base):",
            "if clash := None:", ("tests/test_cli.py::TestSweepCommand",)),

@@ -5,7 +5,7 @@ import pytest
 import mutants
 from mutants import Mutant
 
-READOUT = "tests/test_linalg.py::TestOverlapMagnitude::test_energy_basis_components"
+READOUT = "tests/test_agent.py::TestReadout::test_energy_basis_components"
 
 
 def test_every_listed_anchor_matches_once():
@@ -21,7 +21,7 @@ def test_a_killed_mutant_passes_the_gate(capsys):
 
 
 def test_a_surviving_mutant_fails_the_gate(capsys):
-    comment = Mutant("a comment reworded", "src/qrl/channels.py", "# hypot is what", "# np.hypot is what",
+    comment = Mutant("a comment reworded", "src/qrl/agent.py", "# hypot is what", "# np.hypot is what",
                      (READOUT,))
     assert mutants.gate([comment]) == 1
     out = capsys.readouterr().out
@@ -43,7 +43,7 @@ def test_a_stale_anchor_fails_the_gate(anchor, found, capsys):
 
 
 def test_tests_that_fail_unmutated_fail_the_gate(capsys):
-    mutant = Mutant("any", "src/qrl/channels.py", "# hypot is what", "# np.hypot is what",
-                    ("tests/test_linalg.py::TestNoSuchClass",))
+    mutant = Mutant("any", "src/qrl/agent.py", "# hypot is what", "# np.hypot is what",
+                    ("tests/test_agent.py::TestNoSuchClass",))
     assert mutants.gate([mutant]) == 1
     assert capsys.readouterr().out == "the mutants' tests fail on the unmutated checkout\n"
