@@ -86,17 +86,19 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        rows = list(reader)
-    parsers = [int if name == "k" else float for name in header]
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    parsers = [np.int64 if name == "k" else float for name in header]
     values = []
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line} has {len(row)} fields, header has {len(header)}")
         try:
             values.append([parse(field) for parse, field in zip(parsers, row)])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: a k outside int64
             raise ValueError(f"{path}: line {line}: {exc}") from None
     return {name: np.array([row[j] for row in values], dtype=parse)
             for j, (name, parse) in enumerate(zip(header, parsers))}
@@ -105,7 +107,10 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
 _PALETTE = ("#c0392b", "#2b6cb0", "#2f855a", "#1a1a1a", "#b7791f", "#6b46c1", "#c05621", "#4a5568")
 
 _WIDTH, _HEIGHT = 760, 480
-_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 66, 24, 42, 52
+_LEFT, _TOP, _PLOT_W, _PLOT_H = 66, 42, 670, 386  # the plot box inside the chart
+_BOTTOM = _TOP + _PLOT_H
+_TICKS = 5  # intervals per axis
+_FONT = 'font-family="sans-serif" font-size'
 
 
 def emit_svg(
@@ -117,7 +122,8 @@ def emit_svg(
     """Render labeled (x, y) series as a static SVG line chart, x labeled ``k``.
 
     ``series`` is a sequence of (label, x values, y values) triples;
-    at least one series with at least one point, all finite, is required.
+    at least one series with at least one point, all finite, is required,
+    and each axis's padded range must have a positive finite width.
     """
     if not series:
         raise ValueError("emit_svg needs at least one series")
@@ -130,92 +136,55 @@ def emit_svg(
             raise ValueError(f"series {label!r} contains non-finite values")
 
     # The whole document is built before the write opens its temporary file.
-    x_lo, x_hi = _axis_range(
-        min(float(np.min(x)) for _, x, _ in series),
-        max(float(np.max(x)) for _, x, _ in series),
-    )
-    y_lo, y_hi = _axis_range(
-        min(float(np.min(y)) for _, _, y in series),
-        max(float(np.max(y)) for _, _, y in series),
-    )
-
-    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    (x_lo, x_span), (y_lo, y_span) = _axis([x for _, x, _ in series]), _axis([y for _, _, y in series])
 
     def sx(v: float) -> float:
-        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _LEFT + (v - x_lo) / x_span * _PLOT_W
 
     def sy(v: float) -> float:
-        return _MARGIN_TOP + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+        return _BOTTOM - (v - y_lo) / y_span * _PLOT_H
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
+        f'fill="none" stroke="#333" stroke-width="1"/>',
+    ]
+    for i in range(_TICKS + 1):
+        fx, fy = x_lo + x_span * i / _TICKS, y_lo + y_span * i / _TICKS
+        px, py = sx(fx), sy(fy)
+        parts += [
+            f'<line x1="{px:.2f}" y1="{_BOTTOM}" x2="{px:.2f}" y2="{_BOTTOM + 5}" stroke="#333"/>',
+            f'<text x="{px:.2f}" y="{_BOTTOM + 18}" text-anchor="middle" {_FONT}="11">{fx:.6g}</text>',
+            f'<line x1="{_LEFT - 5}" y1="{py:.2f}" x2="{_LEFT}" y2="{py:.2f}" stroke="#333"/>',
+            f'<text x="{_LEFT - 8}" y="{py + 4:.2f}" text-anchor="end" {_FONT}="11">{fy:.6g}</text>',
+        ]
+    mid = _TOP + _PLOT_H / 2
+    parts += [
+        f'<text x="{_LEFT + _PLOT_W / 2:g}" y="{_HEIGHT - 12}" text-anchor="middle" {_FONT}="13">k</text>',
+        f'<text x="16" y="{mid:g}" text-anchor="middle" {_FONT}="13" '
+        f'transform="rotate(-90 16 {mid:g})">{escape(y_label)}</text>',
     ]
 
-    # Frame and ticks.
-    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
-    parts.append(
-        f'<rect x="{x0}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333" stroke-width="1"/>'
-    )
-    n_ticks = 5
-    for i in range(n_ticks + 1):
-        fx = x_lo + (x_hi - x_lo) * i / n_ticks
-        px = sx(fx)
-        parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{fx:.6g}</text>'
-        )
-        fy = y_lo + (y_hi - y_lo) * i / n_ticks
-        py = sy(fy)
-        parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{fy:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">k</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:g})">{escape(y_label)}</text>'
-    )
-
+    legend, lx = [], _LEFT + _PLOT_W - 170  # legend entries, top-right inside the box, follow every line
     for idx, (label, x, y) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
+        color, ly = _PALETTE[idx % len(_PALETTE)], _TOP + 12 + idx * 18
         points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
-        )
-
-    # Legend, top-right inside the frame.
-    legend_x = _MARGIN_LEFT + plot_w - 170
-    legend_y = _MARGIN_TOP + 12
-    for idx, (label, _, _) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        ly = legend_y + idx * 18
-        parts.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 24}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 30}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(label))}</text>'
-        )
-
-    parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
+        legend += [
+            f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="2"/>',
+            f'<text x="{lx + 30}" y="{ly + 4}" {_FONT}="12">{escape(str(label))}</text>',
+        ]
+    text = "\n".join([*parts, *legend, "</svg>"]) + "\n"
     _emit(destination, lambda handle: handle.write(text))
 
 
-def _axis_range(lo: float, hi: float) -> tuple[float, float]:
-    if lo == hi:
-        pad = 0.5 if lo == 0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+def _axis(columns: Sequence[np.ndarray]) -> tuple[float, float]:
+    """The low end and the width of an axis over ``columns``, padded; ValueError unless the width is drawable."""
+    lo, hi = min(float(np.min(c)) for c in columns), max(float(np.max(c)) for c in columns)
+    pad = (0.5 if lo == 0 else abs(lo) * 0.1) if lo == hi else (hi - lo) * 0.05
+    span = (hi + pad) - (lo - pad)
+    if not 0 < span < np.inf:
+        raise ValueError(f"cannot draw the range {lo:.6g} to {hi:.6g}: its padded width is {span:g}")
+    return lo - pad, span

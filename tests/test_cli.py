@@ -576,6 +576,28 @@ class TestPlotCommand:
         assert err.startswith(f"qrl: {bad}: line 3: invalid literal for int()") and "'1.5'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line", [("k,W\n1,0.5\n100000000000000000000000000000,0.6\n", 3),
+                                            ("k,W\n1," + "5" * 131073 + "\n", 2)],
+                             ids=["k-outside-int64", "field-over-the-csv-limit"])
+    def test_unreadable_field_names_path_and_line(self, text, line, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(bad), "--column", "W", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qrl: {bad}: line {line}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["1e308\n2,-1e308", "5e-324\n2,5e-324"], ids=["too-wide", "too-narrow"])
+    def test_range_it_cannot_draw_exits_1(self, values, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"k,W\n1,{values}\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(bad), "--column", "W", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qrl: cannot draw the range ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_out_equal_to_an_input_exits_2(self, tmp_path, csv_files, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         before = csv_files[1].read_bytes()

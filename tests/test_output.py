@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -173,3 +174,19 @@ class TestEmitSvg:
         text = buffer.getvalue()
         assert "a&lt;b&gt;&amp;c" in text
         assert "t&lt;&amp;&gt;" in text
+
+    def test_chart_bytes_are_pinned(self):
+        # Frozen from the chart writer before its rewrite: a flat, a falling negative and a rising series.
+        k = np.arange(1, 8)
+        series = [("flat", k, np.full(7, 0.75)), ('neg <&> "q"', k, -0.3 * k + 0.1), ("curve", k, np.sqrt(k) / 3)]
+        buffer = io.StringIO()
+        emit_svg(series, buffer, y_label="F_max <&>")
+        digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+        assert digest == "bfc41288a0d3a6ad244320f193072656c08d61500be6055083521a76de179f34"
+
+    @pytest.mark.parametrize("values, width", [([1e308, -1e308], "inf"), ([5e-324, 5e-324], "0")],
+                             ids=["too-wide", "too-narrow"])
+    def test_refuses_a_range_it_cannot_draw(self, values, width, tmp_path):
+        with pytest.raises(ValueError, match=f"cannot draw the range .* padded width is {width}$"):
+            emit_svg([("s", np.arange(2), np.array(values))], tmp_path / "never.svg")
+        assert list(tmp_path.iterdir()) == []

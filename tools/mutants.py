@@ -104,6 +104,13 @@ MUTANTS = (
     Mutant("byte-order mark kept by read_csv", "src/qrl/output.py",
            'encoding="utf-8-sig", newline=""', 'encoding="utf-8", newline=""',
            (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
+    Mutant("chart's drawable-span check dropped", "src/qrl/output.py", "if not 0 < span < np.inf:", "if False:",
+           ("tests/test_output.py::TestEmitSvg::test_refuses_a_range_it_cannot_draw",)),
+    Mutant("one tick fewer per axis", "src/qrl/output.py", "for i in range(_TICKS + 1):", "for i in range(_TICKS):",
+           ("tests/test_output.py::TestEmitSvg::test_chart_bytes_are_pinned",)),
+    Mutant("csv.Error left uncaught by read_csv", "src/qrl/output.py",
+           "        except csv.Error as exc:", "        except ZeroDivisionError as exc:",
+           (f"{PLOT}::test_unreadable_field_names_path_and_line",)),
 )
 
 
