@@ -19,10 +19,11 @@ The run flags and sweep keys parse straight into the library's frozen ``Ensemble
 which validates them; a key left unset takes the library's default. The sweep config file,
 UTF-8 with or without a byte-order mark, holds flat ``key = value`` lines with those keys;
 blank lines separate run blocks and ``#`` starts a comment (a comment line ends no block).
-Every block needs a non-empty ``out`` path for its CSV. Narrow consecutive blocks with equal
-learning parameters share one lockstep engine run, single- and dual-basis alike, with
-unchanged bytes; each CSV is written once its block is known. A block that fails to compute
-or write is reported and does not stop the others.
+Every block needs a non-empty ``out`` path for its CSV. Each block is checked where it ends,
+so errors come in file order, and ``line N`` counts line feeds only. Narrow consecutive
+blocks with equal learning parameters share one lockstep engine run, single- and dual-basis
+alike, with unchanged bytes; each CSV is written once its block is known. A block that fails
+to compute or write is reported and does not stop the others.
 """
 
 from __future__ import annotations
@@ -99,17 +100,8 @@ def _config(values: dict) -> EnsembleConfig:
     return EnsembleConfig(Channel(**channel), AlgorithmParams(**params), **cell)
 
 
-def _clash(paths: list[str], base: Path) -> tuple[int, int] | None:
-    """First (i, j), i < j, whose ``paths`` name one file once joined to ``base``, links followed."""
-    seen: dict[str, int] = {}
-    for j, path in enumerate(paths):
-        i = seen.setdefault(os.path.realpath(base / path), j)
-        if i != j:
-            return i, j
-    return None
-
-
-def build_parser() -> argparse.ArgumentParser:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed namespace, for ``run`` its ``config`` and ``out`` (exits 2 on usage errors)."""
     parser = argparse.ArgumentParser(prog="qrl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -131,14 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--out", required=True, help="SVG output path")
     plot.add_argument("--column", default="F_max", help="CSV column to plot (default F_max)")
 
-    return parser
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    """The parsed namespace, for ``run`` its ``config`` and ``out`` (exits 2 on usage errors)."""
-    parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "plot" and any(_clash([path, ns.out], Path(".")) for path in ns.csv):
+    if ns.command == "plot" and os.path.realpath(ns.out) in {os.path.realpath(path) for path in ns.csv}:
         parser.error(f"plot: out {ns.out!r} is one of the csv inputs")
     if ns.command != "run":
         return ns
@@ -152,13 +138,19 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def parse_sweep_text(text: str) -> list[tuple[EnsembleConfig, str]]:
     """Parse and validate sweep config content: a (config, out) per block, paths unchecked."""
-    blocks: list[dict] = []
+    cells = []
     current: dict = {}
-    for lineno, raw in enumerate([*text.splitlines(), ""], start=1):  # "" ends the last block
+    for lineno, raw in enumerate([*text.split("\n"), ""], start=1):  # "" ends the last block
         line = raw.split("#", 1)[0].strip()
-        if not line:  # a blank line ends a block; a comment line does not
+        if not line:  # a blank line ends a block, which is checked here; a comment line does not
             if current and not raw.strip():
-                blocks.append(current)
+                try:
+                    config = _config(current)
+                except ValueError as exc:
+                    raise SweepFormatError(f"block {len(cells) + 1}: {exc}") from None
+                if "out" not in current:
+                    raise SweepFormatError(f"block {len(cells) + 1}: missing 'out' path")
+                cells.append((config, current["out"]))
                 current = {}
             continue
         key, sep, value = line.partition("=")
@@ -174,27 +166,19 @@ def parse_sweep_text(text: str) -> list[tuple[EnsembleConfig, str]]:
             current[key] = _RUN_KEYS[key][0](value)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise SweepFormatError(f"line {lineno}: {exc}") from None
-    if not blocks:
+    if not cells:
         raise SweepFormatError("no run blocks found")
-    cells = []
-    for i, block in enumerate(blocks, start=1):
-        try:
-            config = _config(block)
-        except ValueError as exc:
-            raise SweepFormatError(f"block {i}: {exc}") from None
-        if "out" not in block:
-            raise SweepFormatError(f"block {i}: missing 'out' path")
-        cells.append((config, block["out"]))
     return cells
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     base = Path(ns.out_dir or ".")
     cells = parse_sweep_text(read_text(ns.config))
-    if clash := _clash([os.path.realpath(ns.config), *(out for _, out in cells)], base):
-        i, j = clash  # entry 0 is the config file, so entry i is block i
-        raise SweepFormatError(f"blocks {i} and {j} both write {cells[i - 1][1]!r}" if i
-                               else f"block {j}: out names the config file {ns.config!r}")
+    writer = {os.path.realpath(ns.config): 0}  # each real path's first writer; 0 is the config file
+    for j, (_, out) in enumerate(cells, start=1):
+        if (i := writer.setdefault(os.path.realpath(base / out), j)) != j:
+            raise SweepFormatError(f"blocks {i} and {j} both write {cells[i - 1][1]!r}" if i
+                                   else f"block {j}: out names the config file {ns.config!r}")
     base.mkdir(parents=True, exist_ok=True)
 
     failed = []

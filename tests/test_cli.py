@@ -197,6 +197,8 @@ class TestSweepText:
             ("out = a.csv\nsvg = a.svg", "unknown key 'svg'"),
             ("dual_basis = perhaps", "boolean"),
             ("# only a comment", "no run blocks"),
+            ("reward = 2\nout = a.csv\n\nnoise adn", "block 1: reward_rate"),
+            ("noise = adn\nout = a.csv\n\f\nbogus", "line 4: expected"),
         ],
     )
     def test_format_errors(self, content, message):

@@ -144,6 +144,19 @@ class TestRunEnsemble:
             stats.se_w, matrix.std(axis=0, ddof=1) / math.sqrt(15), atol=1e-13
         )
 
+    def test_two_realizations_have_standard_errors(self):
+        # The smallest ensemble with a spread, over two iteration blocks.
+        for dual in (False, True):
+            cfg = small_config(n=2, iters=BLOCK + 6, seed=6, dual=dual)
+            stats = run_ensemble(cfg)
+            records = [run_realization(cfg.channel, cfg.params, mix_seed(6, i)) for i in range(2)]
+            names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: 6 if dual else 4]
+            for name in names:
+                x = np.array([[getattr(r, name) for r in realization] for realization in records])
+                expected = np.std(x, axis=0, ddof=1) / math.sqrt(2)
+                np.testing.assert_allclose(getattr(stats, f"se_{name}"), expected, rtol=1e-12)
+            assert any(np.any(getattr(stats, f"se_{name}") > 0) for name in names)
+
     def test_stats_bounds_and_lengths(self):
         cfg = small_config(kind="pdn", n=10, iters=25, dual=True)
         stats = run_ensemble(cfg)

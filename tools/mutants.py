@@ -75,9 +75,19 @@ MUTANTS = (
            equivalent="it trades peak memory for fewer engine passes; a cell's bytes never depend on its chunks"),
     Mutant("moments counted per realization", "src/qrl/ensemble.py",
            "held + cell_bytes\n", "held + count * cell_bytes\n", ("tests/test_ensemble.py::TestRunEnsembles",)),
+    Mutant("a chunk that fits exactly is closed", "src/qrl/ensemble.py",
+           "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
+           equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
+    Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
+           ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
     Mutant("clash check without following links", "src/qrl/cli.py",
-           "seen.setdefault(os.path.realpath(base / path), j)", "seen.setdefault(os.path.abspath(base / path), j)",
+           "writer.setdefault(os.path.realpath(base / out), j)",
+           "writer.setdefault(os.path.abspath(base / out), j)",
            ("tests/test_cli.py",)),
+    Mutant("plot's clash check without following links", "src/qrl/cli.py",
+           "os.path.realpath(ns.out) in {os.path.realpath(path)",
+           "os.path.abspath(ns.out) in {os.path.abspath(path)",
+           (f"{PLOT}::test_out_linking_to_an_input_exits_2",)),
     Mutant("plot's destination check dropped", "src/qrl/cli.py",
            "    check_destination(ns.out)\n    for path in ns.csv:", "    for path in ns.csv:",
            ("tests/test_cli.py",)),
@@ -95,9 +105,10 @@ MUTANTS = (
            ("tests/test_channels.py::TestChannelValidation::test_defaults_are_a_noiseless_unit_step",)),
     Mutant("a comment line ends a sweep block", "src/qrl/cli.py",
            "if current and not raw.strip():", "if current:", ("tests/test_cli.py::TestSweepText",)),
-    Mutant("sweep's clash check dropped", "src/qrl/cli.py",
-           "if clash := _clash([os.path.realpath(ns.config), *(out for _, out in cells)], base):",
-           "if clash := None:", ("tests/test_cli.py::TestSweepCommand",)),
+    Mutant("sweep's clash check dropped", "src/qrl/cli.py", ") != j:", ") != j and False:",
+           ("tests/test_cli.py::TestSweepCommand",)),
+    Mutant("sweep lines split at every line boundary", "src/qrl/cli.py", 'text.split("\\n")', "text.splitlines()",
+           ("tests/test_cli.py::TestSweepText",)),
     Mutant("byte-order mark kept by read_text", "src/qrl/output.py",
            'encoding="utf-8-sig") as', 'encoding="utf-8") as',
            (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
