@@ -16,9 +16,10 @@ documented order so that seeded runs are reproducible: one uniform on
 alpha (X), beta (Y), gamma (Z) in that order, each uniform on
 [-w*pi, w*pi] with the pre-update w.
 
-``run_lockstep`` is the one engine: it advances many realizations together
-(closed-form P(0), streamed draws, one rotation and one readout call per
-step for all kicks). The ensemble runs it over many seeds and
+``run_lockstep`` is the one engine: it advances the realizations of
+(channel, seeds) cells together (closed-form P(0), streamed draws, one
+rotation and one readout call per step for all kicks) and yields their
+trajectories block by block. The ensemble runs it over many seeds and
 ``run_realization`` over one. The scalar loop it reproduces bit for bit
 lives in ``tests/oracles.py``, as the reference the tests check against;
 the two share no rotation and no readout code.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -107,37 +109,33 @@ def _readout(unitaries: np.ndarray, m: int) -> np.ndarray:
     return np.hypot(amplitude.real, amplitude.imag).T
 
 
-def run_lockstep(
-    channels: list, params: AlgorithmParams, seeds: list[int], fold, *, dual_basis: bool = False
-) -> np.ndarray:
-    """Run one realization per seed, all advanced together step by step.
+def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = False) -> Iterator[tuple]:
+    """Run one realization per seed of each (channel, seeds) cell, all advanced together step by step.
 
-    ``channels`` holds (channel, count) runs that cover the seeds in order.
-    P(0) is ``pure_prob_zero`` of the tracked fidelities and each
-    realization's channel terms, both recomputed only for kicked
-    realizations. Generators stream through buffers of ``4 * BLOCK``
-    uniforms (the most a block reads), which cursors read in the frozen
-    draw order; angles are ``lo + (hi - lo) * u`` as in
-    ``Generator.uniform``. ``fold(k0, block, punished)`` gets iterations
-    k0:k0+b as a reused (n, columns, b) buffer, one (columns, b) trajectory
-    block per realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal
-    to the scalar oracle ``run_realization`` in ``tests/oracles.py``, and a
-    reused (n, b) bool block of each step's outcome (True for a punishment).
-    Returns the draws each realization used: iterations + 3 * punishments.
+    ``cells`` lists the realizations in order. P(0) is ``pure_prob_zero`` of
+    the tracked fidelities and each realization's channel terms, both
+    recomputed only for kicked realizations. Generators stream through
+    buffers of ``4 * BLOCK`` uniforms (the most a block reads), which cursors
+    read in the frozen draw order; angles are ``lo + (hi - lo) * u`` as in
+    ``Generator.uniform``, so a realization draws iterations + 3 * punishments
+    uniforms. Each block of iterations k0:k0+b yields ``(k0, block, punished)``:
+    a reused (n, columns, b) buffer, one (columns, b) trajectory block per
+    realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to the
+    scalar oracle ``run_realization`` in ``tests/oracles.py``, and a reused
+    (n, b) bool block of each step's outcome (True for a punishment).
     """
-    n = len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for _, seeds in cells for seed in seeds]
+    n = len(rngs)
     draws = np.empty((n, 4 * BLOCK))
     flat, row_start = draws.reshape(-1), np.arange(n) * draws.shape[1]
     cursor = row_start + draws.shape[1]  # positions in ``flat``; the empty buffer counts as read
-    used = np.zeros(n, dtype=np.intp)
     transform = np.repeat(IDENTITY[None], n, axis=0)
     state = np.ones((6 if dual_basis else 4, n))  # rows w, f_e, f_g, f_max [, f_e_b1, f_g_b1]
     w, p_zero = state[0], np.empty(n)
     rows = np.array([1, 2, 4, 5][: len(state) - 2])  # the state rows of the readouts
     # P(0) terms per realization: rows survival, coherence and adn (1.0 or 0.0).
-    counts = [count for _, count in channels]
-    terms = np.repeat(np.array([c.prob_zero_terms() for c, _ in channels]).T, counts, axis=1)
+    counts = [len(seeds) for _, seeds in cells]
+    terms = np.repeat(np.array([c.prob_zero_terms() for c, _ in cells]).T, counts, axis=1)
 
     def refresh(at, unitaries):  # fidelities, f_max and P(0) of realizations ``at``
         fidelity = _readout(unitaries, len(rows))
@@ -167,9 +165,7 @@ def run_lockstep(
                 refresh(kicked, kicked_transform)
                 w[kicked] = np.minimum(params.punish_rate * w_kicked, 1.0)
             block[..., k] = state.T
-        used += cursor - row_start
-        fold(k0, block[..., :size], punished[:size].T)
-    return used
+        yield k0, block[..., :size], punished[:size].T
 
 
 def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> list[IterationRecord]:
@@ -182,12 +178,9 @@ def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> lis
     of step k.
     """
     blocks, flags = [], []
-
-    def fold(k0, block, punished):  # copies: the engine reuses its buffers
-        blocks.append(block[0].copy())
+    for _, block, punished in run_lockstep([(channel, [seed])], params, dual_basis=True):
+        blocks.append(block[0].copy())  # copies: the engine reuses its buffers
         flags.append(punished[0].copy())
-
-    run_lockstep([(channel, 1)], params, [seed], fold, dual_basis=True)
     rows = np.concatenate(blocks, axis=1)  # w, f_e, f_g, f_max, f_e_b1, f_g_b1 per iteration
     before = np.empty((2, params.iterations))  # f_e, f_g of the state each step prepares
     before[:, :1] = _readout(IDENTITY[None], 2)

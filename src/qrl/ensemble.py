@@ -3,8 +3,8 @@
 Realization ``i`` of an ensemble runs with its own derived seed
 ``mix_seed(master_seed, i)`` so any single realization can be reproduced
 in isolation. The realizations run in one process, in chunks that the
-lockstep engine ``run_lockstep`` advances together and hands back in
-blocks of iterations, one row block per realization; one chunk may hold
+lockstep engine ``run_lockstep`` advances together and yields in blocks
+of iterations, one row block per realization; one chunk may hold
 several narrow cells (``run_ensembles``). Aggregation streams: each block's
 running means and scatter are updated realization by realization in index
 order, so the bits never depend on chunk or block size.
@@ -31,7 +31,7 @@ _CHUNK_BYTES = 4 << 20
 
 
 def mix_seed(master_seed: int, index: int) -> int:
-    """Derive the per-realization seed, bit-exactly.
+    """Derive the per-realization seed of a master seed in [0, 2**64), bit-exactly.
 
     This is the splitmix64 output function applied to the state
     ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all arithmetic
@@ -41,6 +41,8 @@ def mix_seed(master_seed: int, index: int) -> int:
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
     """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
     z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
@@ -70,8 +72,7 @@ class EnsembleConfig:
         _store_numbers(self, int, "n_realizations", "master_seed")
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        mix_seed(self.master_seed, 0)  # raises unless master_seed is in [0, 2**64)
 
 
 @dataclass
@@ -150,32 +151,30 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
     configuration, never on the chunks: they equal ``run_ensemble``.
     """
 
-    def run(chunk):  # segments (cfg, moments, first realization, count)
-        def fold(k0, block, punished):  # each segment's rows and columns into its moments, in index order
-            for (_, moments, first, _), rows in zip(chunk, np.split(block, np.cumsum(counts)[:-1])):
-                moments.add_block(first, k0, rows[:, : len(moments.mean)])
-
-        counts = [count for *_, count in chunk]
-        seeds = [mix_seed(cfg.master_seed, i)
-                 for cfg, _, first, count in chunk for i in range(first, first + count)]
-        runs = [(cfg.channel, count) for cfg, *_, count in chunk]
+    def run(chunk):  # segments (cfg, moments, first realization, seeds)
+        cells = [(cfg.channel, seeds) for cfg, *_, seeds in chunk]
+        bounds = np.cumsum([len(seeds) for *_, seeds in chunk])[:-1]
         dual = any(cfg.dual_basis for cfg, *_ in chunk)
-        run_lockstep(runs, chunk[0][0].params, seeds, fold, dual_basis=dual)
+        for k0, block, _ in run_lockstep(cells, chunk[0][0].params, dual_basis=dual):
+            # each segment's rows and columns into its moments, in index order
+            for (_, moments, first, _), rows in zip(chunk, np.split(block, bounds)):
+                moments.add_block(first, k0, rows[:, : len(moments.mean)])
         return [moments.stats(cfg.n_realizations)
-                for cfg, moments, first, count in chunk if first + count == cfg.n_realizations]
+                for cfg, moments, first, seeds in chunk if first + len(seeds) == cfg.n_realizations]
 
     chunk, lanes, held = [], 0, 0  # segments; their realizations and moment bytes
     for cfg in cfgs:
         moments = _RunningMoments(6 if cfg.dual_basis else 4, cfg.params.iterations)
         cell_bytes = moments.mean.nbytes * 2  # its mean and scatter
         for first in range(0, cfg.n_realizations, _CHUNK_REALIZATIONS):
-            count = min(_CHUNK_REALIZATIONS, cfg.n_realizations - first)
+            last = min(first + _CHUNK_REALIZATIONS, cfg.n_realizations)
+            seeds = [mix_seed(cfg.master_seed, i) for i in range(first, last)]
             if chunk and (cfg.params != chunk[0][0].params or held + cell_bytes > _CHUNK_BYTES
-                          or lanes + count > _CHUNK_REALIZATIONS):
+                          or lanes + len(seeds) > _CHUNK_REALIZATIONS):
                 yield from run(chunk)
                 chunk, lanes, held = [], 0, 0
-            chunk.append((cfg, moments, first, count))
-            lanes, held = lanes + count, held + cell_bytes
+            chunk.append((cfg, moments, first, seeds))
+            lanes, held = lanes + len(seeds), held + cell_bytes
     yield from run(chunk) if chunk else ()
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from oracles import hermitian_eigenvalues, random_density
 from qrl import ensemble, run_realization
-from qrl.agent import IDENTITY, AlgorithmParams
+from qrl.agent import IDENTITY, AlgorithmParams, run_lockstep
 from qrl.channels import (
     EXCITED,
     GROUND,
@@ -226,25 +226,18 @@ def test_criterion_08_exploration_parameter_converges():
     report(8, f"12 noisy cells converged; worst W_500 = {worst:.2e}")
 
 
-def test_criterion_09_byte_identical_output_across_chunk_sizes(tmp_path, monkeypatch):
+def test_criterion_09_byte_identical_output_across_chunk_sizes(tmp_path, monkeypatch, engine_passes):
     """Same master seed gives byte-identical CSV for chunks of 1, 7 and all 60 realizations."""
     args = ["run", "--noise", "adn", "--ttau", "1", "--tdec", "1",
             "--iters", "120", "--realizations", "60", "--seed", "4242"]
-    engine, default_size, chunks = ensemble.run_lockstep, ensemble._CHUNK_REALIZATIONS, []
-
-    def counted(channel, params, seeds, fold, **kwargs):
-        chunks.append(len(seeds))
-        return engine(channel, params, seeds, fold, **kwargs)
-
-    monkeypatch.setattr(ensemble, "run_lockstep", counted)
-    blobs = []
+    default_size, blobs = ensemble._CHUNK_REALIZATIONS, []
     # The last run keeps the default size, which also runs all 60 realizations as one chunk.
     for size, expected in ((1, [1] * 60), (7, [7] * 8 + [4]), (60, [60]), (default_size, [60])):
         monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", size)
-        chunks.clear()
+        engine_passes.clear()
         path = tmp_path / f"{len(blobs)}.csv"
         assert main(args + ["--out", str(path)]) == 0
-        assert chunks == expected
+        assert engine_passes == [([("adn", n)], False) for n in expected]
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
     report(9, f"chunks of 1, 7, 60 and default: {len(blobs[0])} bytes each, all identical")
@@ -264,3 +257,46 @@ def test_criterion_10_measurement_statistics():
         stderr = math.sqrt(prob * (1.0 - prob) / draws)
         assert abs(frequency - prob) <= 3.0 * stderr + 1e-12
     report(10, f"20 pairs x {draws} draws, all within 3 standard errors")
+
+
+# The test's own Pauli X, Y, Z, for a kick built without the engine's or the oracle's rotation code.
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def mean_kicked_excited_fidelity(half_width: float, angle_scale: float, points: int = 48) -> float:
+    """Mean |<e| Ry(beta) Rz(gamma) Rx(alpha) |0>| over angles uniform on [-half_width, half_width]^3.
+
+    R_P(t) = cos(s t) I - i sin(s t) P with s = ``angle_scale`` (1/2 for half angles, 1 for
+    full ones), by a ``points``^3 midpoint grid.
+    """
+    angles = half_width * ((np.arange(points) + 0.5) * 2.0 / points - 1.0)
+    scaled = angle_scale * angles[:, None, None]
+    rx, ry, rz = (np.cos(scaled) * np.eye(2) - 1j * np.sin(scaled) * pauli for pauli in PAULIS)
+    _, vectors = np.linalg.eigh((math.sqrt(3.0) * PAULIS[0] - PAULIS[2]) / 4.0)
+    excited = vectors[:, 1]  # eigh sorts eigenvalues in ascending order
+    column = np.einsum("bij,gjk,ak->bgai", ry, rz, rx[:, :, 0])  # K|0> per (beta, gamma, alpha)
+    return float(np.abs(column @ excited.conj()).mean())
+
+
+def test_criterion_11_first_kick_matches_quadrature():
+    """Step-1 reward share is P(0) of |0>; one kick of half-width 0.1 pi gives the half-angle mean f_e."""
+    channel = Channel(kind="noiseless", tau=TAU1)
+    params = AlgorithmParams(reward_rate=0.1, iterations=2)
+    rewarded, one_kick = 0, []
+    for start in range(0, 40_000, 1000):  # 1000 seeds per engine call keeps its draw buffer small
+        for _, block, punished in run_lockstep([(channel, list(range(start, start + 1000)))], params):
+            rewarded += np.count_nonzero(~punished[:, 0])
+            # Rewarded at step 1, so step 2 kicks |0> with the post-reward w = reward_rate.
+            one_kick.append(block[~punished[:, 0] & punished[:, 1], 1, 1])  # f_e after step 2
+    p0 = measurement_prob_zero(channel, density_from_pure(np.array([1.0, 0.0], dtype=complex)))
+    share = rewarded / 40_000
+    z_share = (share - p0) / math.sqrt(p0 * (1.0 - p0) / 40_000)
+    f_e = np.concatenate(one_kick)
+    mean, se = f_e.mean(), f_e.std(ddof=1) / math.sqrt(f_e.size)
+    half = mean_kicked_excited_fidelity(params.reward_rate * math.pi, 0.5)
+    full = mean_kicked_excited_fidelity(params.reward_rate * math.pi, 1.0)
+    z_half, z_full = (mean - half) / se, (mean - full) / se
+    assert abs(z_share) <= 3.0 and abs(z_half) <= 3.0
+    assert abs(z_full) > 5.0  # the check tells half from full angles
+    report(11, f"reward share {share:.4f} vs P0 {p0:.4f} (z = {z_share:.2f}); {f_e.size} one-kick f_e "
+               f"{mean:.5f} vs half-angle {half:.5f} (z = {z_half:.2f}), full-angle {full:.5f} (z = {z_full:.2f})")

@@ -372,14 +372,11 @@ class TestRunLockstep:
         channel, params, dual = self.CASES[case]
         seeds = [1000 * case + i for i in range(13)]
         blocks, flags = [], []
-
-        def fold(k0, block, punished):
+        for k0, block, punished in run_lockstep([(channel, seeds)], params, dual_basis=dual):
             assert k0 == sum(b.shape[2] for b in blocks) and 1 <= block.shape[2] <= BLOCK
             assert punished.shape == (len(seeds), block.shape[2]) and punished.dtype == bool
             blocks.append(block.copy())  # the engine reuses its buffers
             flags.append(punished.copy())
-
-        draws = run_lockstep([(channel, len(seeds))], params, seeds, fold, dual_basis=dual)
         trajectories, punished = np.concatenate(blocks, axis=2), np.concatenate(flags, axis=1)
         assert trajectories.shape == (len(seeds), 6 if dual else 4, params.iterations)
         names = ("w", "f_e", "f_g", "f_max", "f_e_b1", "f_g_b1")[: trajectories.shape[1]]
@@ -388,7 +385,6 @@ class TestRunLockstep:
             for column, name in enumerate(names):
                 assert trajectories[j, column].tolist() == [getattr(r, name) for r in records]
             assert punished[j].tolist() == [r.outcome == 1 for r in records]
-            assert draws[j] == params.iterations + 3 * punished[j].sum()
         assert punished.any()
 
     def test_every_step_punished_reads_whole_blocks(self, monkeypatch):
@@ -406,18 +402,13 @@ class TestRunLockstep:
         monkeypatch.setattr(np.random, "default_rng", Counted)
         monkeypatch.setattr(agent, "pure_prob_zero", lambda terms, pe, pg: np.zeros_like(pe))
         blocks, flags = [], []
-
-        def fold(k0, block, punished):
+        seeds, iterations = list(range(5)), 2 * BLOCK + 9  # two full blocks and a partial third
+        cells = [(Channel(kind="adn", tau=1.0, t_dec=1.0), seeds)]
+        for _, block, punished in run_lockstep(cells, AlgorithmParams(iterations=iterations), dual_basis=True):
             blocks.append(block[:, 0].copy())  # w
             flags.append(punished.copy())
-
-        seeds, iterations = list(range(5)), 2 * BLOCK + 9  # two full blocks and a partial third
-        channel = Channel(kind="adn", tau=1.0, t_dec=1.0)
-        draws = run_lockstep([(channel, 5)], AlgorithmParams(iterations=iterations), seeds, fold,
-                             dual_basis=True)
         # The initial fill, then a refill after each full block of what it read.
         assert refills == [4 * BLOCK] * (3 * len(seeds))
-        assert draws.tolist() == [4 * iterations] * len(seeds)
         assert np.concatenate(flags, axis=1).all()
         assert np.all(np.concatenate(blocks, axis=1) == 1.0)
 
@@ -434,15 +425,11 @@ class TestRunLockstep:
         monkeypatch.setattr(np.random, "default_rng", Tied)
         monkeypatch.setattr(agent, "pure_prob_zero", lambda terms, pe, pg: np.full_like(pe, tie))
         ws, flags = [], []
-
-        def fold(k0, block, punished):
+        params = AlgorithmParams(reward_rate=0.8, iterations=BLOCK + 5)
+        for _, block, punished in run_lockstep([(Channel(kind="pdn", tau=1.0, t_dec=2.0), [0, 1, 2])], params):
             ws.append(block[:, 0].copy())
             flags.append(punished.copy())
-
-        params = AlgorithmParams(reward_rate=0.8, iterations=BLOCK + 5)
-        draws = run_lockstep([(Channel(kind="pdn", tau=1.0, t_dec=2.0), 3)], params, [0, 1, 2], fold)
         assert not np.concatenate(flags, axis=1).any()
-        assert draws.tolist() == [params.iterations] * 3
         expected, w = [], 1.0
         for _ in range(params.iterations):
             w *= params.reward_rate
@@ -450,18 +437,14 @@ class TestRunLockstep:
         assert np.concatenate(ws, axis=1).tolist() == [expected] * 3
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_public_records_match_oracle(self, case, monkeypatch):
+    def test_public_records_match_oracle(self, case, engine_passes):
         # qrl.run_realization rebuilds the oracle's records from one engine run;
         # only p_zero may differ, as the closed form against the density matrix.
         channel, params, _ = self.CASES[case]
-        used = []
-        monkeypatch.setattr(agent, "run_lockstep",
-                            lambda *args, **kwargs: used.append(run_lockstep(*args, **kwargs)) or used[-1])
         for j, seed in enumerate(1000 * case + i for i in range(13)):
             records = run_realization(channel, params, seed)
             expected = oracles.run_realization(channel, params, seed)
-            assert len(used) == j + 1
+            assert len(engine_passes) == j + 1
             pairs = list(zip(records, expected, strict=True))
             assert [dataclasses.replace(r, p_zero=e.p_zero) for r, e in pairs] == expected
             assert max(abs(r.p_zero - e.p_zero) for r, e in pairs) <= 1e-15
-            assert sum(1 + 3 * r.outcome for r in records) == used[-1][0]

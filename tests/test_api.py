@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import qrl
+from qrl.agent import run_lockstep
 from qrl.cli import _RUN_KEYS
 
 SRC = Path(qrl.__file__).resolve().parent
@@ -60,6 +61,15 @@ def test_option_surface_is_pinned():
         "reward_rate", "punish_rate", "iterations",
     ]
     assert list(inspect.signature(qrl.run_realization).parameters) == ["channel", "params", "seed"]
+    # The engine yields its blocks: cells carry their seeds, and nothing is folded through a callback.
+    assert list(inspect.signature(run_lockstep).parameters) == ["cells", "params", "dual_basis"]
+    assert inspect.isgeneratorfunction(run_lockstep)
+
+
+def test_no_source_line_is_longer_than_115_characters():
+    lengths = {f"{path.name}:{number}": len(line) for path in sorted(SRC.glob("*.py"))
+               for number, line in enumerate(path.read_text().splitlines(), start=1)}
+    assert {where: length for where, length in lengths.items() if length > 115} == {}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrl import AlgorithmParams, Channel, EnsembleConfig, emit_csv, ensemble, run_ensemble
+from qrl import AlgorithmParams, Channel, EnsembleConfig, emit_csv, run_ensemble
 from qrl.cli import SweepFormatError, main, parse_args, parse_sweep_text
 from qrl.ensemble import run_ensembles
 
@@ -366,17 +366,14 @@ class TestSweepCommand:
                   {"noise": "pdn", "reward": "0.8"}]
         self.check_blocks_match_run_command(tmp_path, blocks, iters=10)
 
-    def test_mixed_basis_figure_blocks_make_one_engine_run(self, tmp_path, monkeypatch):
+    def test_mixed_basis_figure_blocks_make_one_engine_run(self, tmp_path, engine_passes):
         # Narrow fig1-style single-basis blocks, then fig3-style dual-basis ones.
         blocks = [{"noise": "pdn", "ttau": "1", "tdec": "10"}, {"noise": "adn", "ttau": "2pi", "tdec": "1"},
                   {"noise": "none", "ttau": "2pi"}, {"noise": "adn", "ttau": "1", "tdec": "1", "dual_basis": "true"},
                   {"noise": "none", "ttau": "1", "dual_basis": "true"}]
-        engine, calls = ensemble.run_lockstep, []
-        monkeypatch.setattr(ensemble, "run_lockstep",
-                            lambda *args, **kwargs: calls.append(kwargs) or engine(*args, **kwargs))
         self.check_blocks_match_run_command(tmp_path, blocks, iters=70)
         # One engine run for the sweep, then one per block run alone.
-        assert calls == [{"dual_basis": True}] + [{"dual_basis": "dual_basis" in b} for b in blocks]
+        assert [dual for _, dual in engine_passes] == [True] + ["dual_basis" in b for b in blocks]
 
     def test_preserves_order_and_reproduces(self, tmp_path, monkeypatch):
         seeds = []

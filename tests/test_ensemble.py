@@ -42,6 +42,13 @@ class TestMixSeed:
         with pytest.raises(ValueError, match="index"):
             mix_seed(0, -1)
 
+    def test_rejects_a_master_seed_outside_64_bits(self):
+        # Reduced mod 2**64, -1 would alias 2**64 - 1 and 2**64 would alias 0.
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+                mix_seed(seed, 0)
+        assert mix_seed(2**64 - 1, 0) == 16490336266968443936
+
 
 class TestConfig:
     def test_rejects_empty_ensemble(self):
@@ -193,27 +200,21 @@ class TestRunEnsembles:
             for i, ((kind, tau, t_dec), n) in enumerate(zip(self.CHANNELS, self.SIZES))
         ]
 
-    def run_recorded(self, cfgs, monkeypatch, chunk, moment_bytes=None):
-        """Stats of ``cfgs`` batched in chunks of ``chunk`` realizations, and the runs of each chunk."""
+    def run_recorded(self, cfgs, monkeypatch, engine_passes, chunk, moment_bytes=None):
+        """Stats of ``cfgs`` batched in chunks of ``chunk`` realizations, and the cells of each chunk."""
         monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", chunk)
         if moment_bytes is not None:
             monkeypatch.setattr(ensemble, "_CHUNK_BYTES", moment_bytes)
-        engine, chunks = ensemble.run_lockstep, []
-
-        def recorded(channels, params, seeds, fold, **kwargs):
-            chunks.append([(channel.kind, count) for channel, count in channels])
-            return engine(channels, params, seeds, fold, **kwargs)
-
-        monkeypatch.setattr(ensemble, "run_lockstep", recorded)
+        engine_passes.clear()  # the passes of the cells run alone
         stats = list(run_ensembles(cfgs))
         monkeypatch.undo()
-        return stats, chunks
+        return stats, [cells for cells, _ in engine_passes]
 
     @pytest.mark.parametrize("dual", [False, True])
-    def test_batched_cells_equal_cells_alone(self, dual, monkeypatch):
+    def test_batched_cells_equal_cells_alone(self, dual, monkeypatch, engine_passes):
         cfgs = self.cells(dual)
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=16)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, engine_passes, chunk=16)
         assert [raw_bytes(s) for s in stats] == alone
         # Whole cells pack while they fit; a cell wider than the room left starts
         # a new chunk, and one wider than a chunk is split, its last part left open.
@@ -222,90 +223,80 @@ class TestRunEnsembles:
         ]
         assert chunks[0] == [("noiseless", 1), ("pdn", 5)] and chunks[3] == [("adn", 5), ("adn", 2)]
 
-    def test_cells_wider_than_a_chunk_are_split_as_alone(self, monkeypatch):
+    def test_cells_wider_than_a_chunk_are_split_as_alone(self, monkeypatch, engine_passes):
         cfgs = [small_config("adn", n=9, seed=1), small_config("pdn", n=3, seed=2),
                 small_config("noiseless", n=4, seed=3)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=4)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, engine_passes, chunk=4)
         assert [raw_bytes(s) for s in stats] == alone
         assert chunks == [[("adn", 4)], [("adn", 4)], [("adn", 1), ("pdn", 3)], [("noiseless", 4)]]
 
-    def test_cells_that_differ_in_params_do_not_share_a_chunk(self, monkeypatch):
+    def test_cells_that_differ_in_params_do_not_share_a_chunk(self, monkeypatch, engine_passes):
         cfgs = [small_config(n=3, seed=1), small_config(n=3, seed=2, dual=True),
                 small_config(n=3, seed=3, iters=61), small_config(n=3, seed=4, iters=61),
                 EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0), n_realizations=3,
                                params=AlgorithmParams(punish_rate=2.0, iterations=61))]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=100)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, engine_passes, chunk=100)
         assert [raw_bytes(s) for s in stats] == alone
         assert [[count for _, count in runs] for runs in chunks] == [[3, 3], [3, 3], [3]]
 
     @pytest.mark.parametrize("order", [1, -1])
-    def test_single_and_dual_basis_cells_share_a_chunk(self, order, monkeypatch):
+    def test_single_and_dual_basis_cells_share_a_chunk(self, order, engine_passes):
         # A dual-basis chunk: the single-basis cells fold only their 4 columns, with their own bits.
         cfgs = [small_config("pdn", n=37, iters=BLOCK + 6, seed=1, dual=True),
                 small_config("adn", n=200, iters=BLOCK + 6, seed=2),
                 small_config("noiseless", n=5, iters=BLOCK + 6, seed=3, dual=True),
                 small_config("adn", tau=2 * math.pi, n=300, iters=BLOCK + 6, seed=4)][::order]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        engine, calls = ensemble.run_lockstep, []
-
-        def recorded(channels, params, seeds, fold, **kwargs):
-            calls.append(([count for _, count in channels], kwargs))
-            return engine(channels, params, seeds, fold, **kwargs)
-
-        monkeypatch.setattr(ensemble, "run_lockstep", recorded)
+        engine_passes.clear()  # the passes of the cells run alone
         assert [raw_bytes(s) for s in run_ensembles(cfgs)] == alone
-        assert calls == [([37, 200, 5, 300][::order], {"dual_basis": True})]
+        assert [([count for _, count in cells], dual) for cells, dual in engine_passes] == [
+            ([37, 200, 5, 300][::order], True)
+        ]
 
-    def test_dual_cells_count_against_the_same_capacity(self, monkeypatch):
+    def test_dual_cells_count_against_the_same_capacity(self, monkeypatch, engine_passes):
         # Chunks hold 10 realizations whatever their column count, with a dual cell or without.
         cfgs = [small_config(n=9, seed=1), small_config(n=1, seed=2, dual=True),
                 small_config(n=7, seed=3), small_config(n=1, seed=4), small_config(n=2, seed=5, dual=True)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=10)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, engine_passes, chunk=10)
         assert [raw_bytes(s) for s in stats] == alone
         assert [[count for _, count in runs] for runs in chunks] == [[9, 1], [7, 1, 2]]
 
-    def test_default_size_dual_cells_run_whole(self, monkeypatch):
+    def test_default_size_dual_cells_run_whole(self, engine_passes):
         # Two 1000-realization dual-basis cells: one engine pass each at the default sizes.
         cfgs = [EnsembleConfig(channel=Channel(kind="adn", tau=1.0, t_dec=1.0), master_seed=seed,
                                params=AlgorithmParams(iterations=2), dual_basis=True) for seed in (1, 2)]
-        engine, calls = ensemble.run_lockstep, []
-        monkeypatch.setattr(ensemble, "run_lockstep",
-                            lambda *args, **kwargs: calls.append(len(args[2])) or engine(*args, **kwargs))
         assert [stats.n_realizations for stats in run_ensembles(cfgs)] == [1000, 1000]
-        assert calls == [1000, 1000]  # six columns do not shrink a chunk
+        assert engine_passes == [([("adn", 1000)], True)] * 2  # six columns do not shrink a chunk
 
-    def test_cells_share_a_chunk_only_while_their_moments_fit(self, monkeypatch):
+    def test_cells_share_a_chunk_only_while_their_moments_fit(self, monkeypatch, engine_passes):
         # At 700 iterations a cell's mean and scatter take 44 800 bytes, so a
         # budget of 110 592 bytes leaves room for two cells' moments.
         cfgs = [small_config(n=2, iters=700, seed=i) for i in range(5)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27, moment_bytes=110_592)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, engine_passes, chunk=27, moment_bytes=110_592)
         assert [raw_bytes(s) for s in stats] == alone
         assert [[count for _, count in runs] for runs in chunks] == [[2, 2], [2, 2], [2]]
 
-    def test_moments_count_each_cell_at_its_own_columns(self, monkeypatch):
+    def test_moments_count_each_cell_at_its_own_columns(self, monkeypatch, engine_passes):
         # At 700 iterations a cell's mean and scatter take 44 800 bytes at 4 columns and 67 200
         # at 6, so a budget of 138 240 bytes holds the moments of a dual cell and one plain
         # cell, or of three plain cells, but not of a dual and two plain.
         cfgs = [small_config(n=2, iters=700, seed=i, dual=i in (0, 4)) for i in range(5)]
         alone = [raw_bytes(run_ensemble(cfg)) for cfg in cfgs]
-        stats, chunks = self.run_recorded(cfgs, monkeypatch, chunk=27, moment_bytes=138_240)
+        stats, chunks = self.run_recorded(cfgs, monkeypatch, engine_passes, chunk=27, moment_bytes=138_240)
         assert [raw_bytes(s) for s in stats] == alone
         assert [[count for _, count in runs] for runs in chunks] == [[2, 2], [2, 2], [2]]
 
-    def test_yields_each_cell_once_its_last_chunk_is_folded(self, monkeypatch):
+    def test_yields_each_cell_once_its_last_chunk_is_folded(self, monkeypatch, engine_passes):
         cfgs = [small_config(n=2, seed=1), small_config(n=2, seed=2), small_config(n=9, seed=3)]
         monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", 4)
-        engine, calls = ensemble.run_lockstep, []
-        monkeypatch.setattr(ensemble, "run_lockstep",
-                            lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
         results = run_ensembles(cfgs)
-        assert next(results).n_realizations == 2 and len(calls) == 1  # first chunk: cells 1 and 2
-        assert next(results).n_realizations == 2 and len(calls) == 1
-        assert next(results).n_realizations == 9 and len(calls) == 4  # cell 3 in chunks of 4, 4, 1
+        assert next(results).n_realizations == 2 and len(engine_passes) == 1  # first chunk: cells 1 and 2
+        assert next(results).n_realizations == 2 and len(engine_passes) == 1
+        assert next(results).n_realizations == 9 and len(engine_passes) == 4  # cell 3 in chunks of 4, 4, 1
         assert list(results) == []
 
 

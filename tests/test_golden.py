@@ -84,7 +84,7 @@ CELLS = {
 CHUNKS = {"adn-1-dual-blocks": 128}
 
 
-def _run(name, monkeypatch):
+def _run(name, monkeypatch, engine_passes=None):
     (kind, tau, t_dec), rates, n, iterations, seed, dual, *_ = CELLS[name]
     cfg = EnsembleConfig(
         channel=Channel(kind=kind, tau=tau, t_dec=t_dec),
@@ -93,25 +93,17 @@ def _run(name, monkeypatch):
         master_seed=seed,
         dual_basis=dual,
     )
-    chunks = []
     if name in CHUNKS:
         monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", CHUNKS[name])
-        engine = ensemble.run_lockstep
-
-        def counted(channel, params, seeds, fold, **kwargs):
-            chunks.append(len(seeds))
-            return engine(channel, params, seeds, fold, **kwargs)
-
-        monkeypatch.setattr(ensemble, "run_lockstep", counted)
     stats = run_ensemble(cfg)
-    assert name not in CHUNKS or chunks == [128, 128, 44]
+    assert name not in CHUNKS or [count for cells, _ in engine_passes for _, count in cells] == [128, 128, 44]
     return stats
 
 
 @pytest.mark.parametrize("name", CELLS)
-def test_csv_digest(name, monkeypatch):
+def test_csv_digest(name, monkeypatch, engine_passes):
     buffer = io.StringIO()
-    emit_csv(_run(name, monkeypatch), buffer)
+    emit_csv(_run(name, monkeypatch, engine_passes), buffer)
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == CELLS[name][-2]
 
 
@@ -125,8 +117,8 @@ def raw_digest(stats):
 
 
 @pytest.mark.parametrize("name", CELLS)
-def test_raw_digest(name, monkeypatch):
-    assert raw_digest(_run(name, monkeypatch)) == CELLS[name][-1]
+def test_raw_digest(name, monkeypatch, engine_passes):
+    assert raw_digest(_run(name, monkeypatch, engine_passes)) == CELLS[name][-1]
 
 
 def test_raw_digest_ignores_blas_threads():

@@ -52,6 +52,9 @@ MUTANTS = (
     Mutant("coherence factor 2 dropped", "src/qrl/channels.py",
            "2.0 * survive * math.cos(self.tau)", "survive * math.cos(self.tau)",
            ("tests/test_channels.py::TestPureProbZero",)),
+    Mutant("kick at full angle", "src/qrl/agent.py",
+           "half = 0.5 * angles[..., None, None]", "half = angles[..., None, None]",
+           ("tests/test_acceptance.py::test_criterion_11_first_kick_matches_quadrature",)),
     Mutant("kick product reassociated", "src/qrl/agent.py", "return ry @ rz @ rx", "return ry @ (rz @ rx)",
            (GOLDEN,)),
     Mutant("kick Paulis scaled by 1j first", "src/qrl/agent.py",
@@ -74,10 +77,13 @@ MUTANTS = (
     Mutant("chunk budget doubled", "src/qrl/ensemble.py", "_CHUNK_BYTES = 4 << 20", "_CHUNK_BYTES = 8 << 20",
            equivalent="it trades peak memory for fewer engine passes; a cell's bytes never depend on its chunks"),
     Mutant("moments counted per realization", "src/qrl/ensemble.py",
-           "held + cell_bytes\n", "held + count * cell_bytes\n", ("tests/test_ensemble.py::TestRunEnsembles",)),
+           "held + cell_bytes\n", "held + len(seeds) * cell_bytes\n", ("tests/test_ensemble.py::TestRunEnsembles",)),
     Mutant("a chunk that fits exactly is closed", "src/qrl/ensemble.py",
            "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
            equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
+    Mutant("mix_seed range check dropped", "src/qrl/ensemble.py",
+           "if not 0 <= master_seed <= _MASK64:", "if False:",
+           ("tests/test_ensemble.py::TestMixSeed::test_rejects_a_master_seed_outside_64_bits",)),
     Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
            ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
     Mutant("clash check without following links", "src/qrl/cli.py",
