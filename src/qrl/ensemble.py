@@ -12,6 +12,7 @@ order, so the bits never depend on chunk or block size.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -31,7 +32,7 @@ _CHUNK_BYTES = 4 << 20
 
 
 def mix_seed(master_seed: int, index: int) -> int:
-    """Derive the per-realization seed of a master seed in [0, 2**64), bit-exactly.
+    """Derive the per-realization seed of an integer master seed in [0, 2**64), bit-exactly.
 
     This is the splitmix64 output function applied to the state
     ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all arithmetic
@@ -41,11 +42,11 @@ def mix_seed(master_seed: int, index: int) -> int:
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
     """
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    if isinstance(master_seed, bool) or not 0 <= operator.index(master_seed) <= _MASK64:
+        raise ValueError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
-    z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
+    z = (operator.index(master_seed) + (operator.index(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)

@@ -45,9 +45,17 @@ class TestMixSeed:
     def test_rejects_a_master_seed_outside_64_bits(self):
         # Reduced mod 2**64, -1 would alias 2**64 - 1 and 2**64 would alias 0.
         for seed in (-1, 2**64):
-            with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\*\*64\)"):
                 mix_seed(seed, 0)
         assert mix_seed(2**64 - 1, 0) == 16490336266968443936
+
+    def test_takes_numpy_integers_and_refuses_a_bool(self):
+        # What EnsembleConfig takes as a master seed: numpy integers stand for their value, a bool for none.
+        assert mix_seed(np.int64(5), np.int64(1)) == mix_seed(np.uint64(5), np.uint8(1)) == mix_seed(5, 1)
+        assert mix_seed(np.uint64(2**63), 1) == mix_seed(2**63, 1)
+        for seed in (True, False):
+            with pytest.raises(ValueError, match="master_seed must be an integer"):
+                mix_seed(seed, 0)
 
 
 class TestConfig:

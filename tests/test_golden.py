@@ -96,7 +96,7 @@ def _run(name, monkeypatch, engine_passes=None):
     if name in CHUNKS:
         monkeypatch.setattr(ensemble, "_CHUNK_REALIZATIONS", CHUNKS[name])
     stats = run_ensemble(cfg)
-    assert name not in CHUNKS or [count for cells, _ in engine_passes for _, count in cells] == [128, 128, 44]
+    assert name not in CHUNKS or engine_passes == [([(kind, count)], dual) for count in (128, 128, 44)]
     return stats
 
 

@@ -78,12 +78,17 @@ MUTANTS = (
            equivalent="it trades peak memory for fewer engine passes; a cell's bytes never depend on its chunks"),
     Mutant("moments counted per realization", "src/qrl/ensemble.py",
            "held + cell_bytes\n", "held + len(seeds) * cell_bytes\n", ("tests/test_ensemble.py::TestRunEnsembles",)),
+    Mutant("chunk realization bound dropped", "src/qrl/ensemble.py",
+           "or lanes + len(seeds) > _CHUNK_REALIZATIONS)", "or False)", (GOLDEN,)),
     Mutant("a chunk that fits exactly is closed", "src/qrl/ensemble.py",
            "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
            equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
     Mutant("mix_seed range check dropped", "src/qrl/ensemble.py",
-           "if not 0 <= master_seed <= _MASK64:", "if False:",
+           "if isinstance(master_seed, bool) or not 0 <= operator.index(master_seed) <= _MASK64:",
+           "if isinstance(master_seed, bool):",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_a_master_seed_outside_64_bits",)),
+    Mutant("mix_seed takes a bool", "src/qrl/ensemble.py", "isinstance(master_seed, bool) or not 0", "not 0",
+           ("tests/test_ensemble.py::TestMixSeed::test_takes_numpy_integers_and_refuses_a_bool",)),
     Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
            ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
     Mutant("clash check without following links", "src/qrl/cli.py",
