@@ -79,7 +79,7 @@ class IterationRecord:
 
     ``f_e`` and ``f_g`` are the overlap magnitudes of the prepared state
     with the excited and ground eigenstates, ``f_max`` their maximum, and
-    ``p_zero`` the outcome-0 probability the measurement draw used. The
+    ``p_zero`` the outcome-0 probability the step's measurement draw met. The
     ``*_b1`` fidelities describe the state prepared from the flipped
     basis bit 1.
     """
@@ -118,11 +118,12 @@ def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = Fal
     buffers of ``4 * BLOCK`` uniforms (the most a block reads), which cursors
     read in the frozen draw order; angles are ``lo + (hi - lo) * u`` as in
     ``Generator.uniform``, so a realization draws iterations + 3 * punishments
-    uniforms. Each block of iterations k0:k0+b yields ``(k0, block, punished)``:
-    a reused (n, columns, b) buffer, one (columns, b) trajectory block per
-    realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal to the
-    scalar oracle ``run_realization`` in ``tests/oracles.py``, and a reused
-    (n, b) bool block of each step's outcome (True for a punishment).
+    uniforms. Each block of iterations k0:k0+b yields ``(k0, block, punished,
+    p_zero)``: a reused (n, columns, b) buffer, one (columns, b) trajectory
+    block per realization, of w, f_e, f_g, f_max [, f_e_b1, f_g_b1], bit-equal
+    to the scalar oracle ``run_realization`` in ``tests/oracles.py``, a reused
+    (n, b) bool block of each step's outcome (True for a punishment), and a
+    reused (n, b) block of the P(0) each step's measurement draw met.
     """
     rngs = [np.random.default_rng(seed) for _, seeds in cells for seed in seeds]
     n = len(rngs)
@@ -144,7 +145,7 @@ def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = Fal
         p_zero[at] = pure_prob_zero(terms[:, at], fidelity[0] ** 2, fidelity[1] ** 2)
 
     refresh(np.arange(n), transform)
-    block, punished = np.empty((n, len(state), BLOCK)), np.empty((BLOCK, n), dtype=bool)
+    block, punished, met = np.empty((n, len(state), BLOCK)), np.empty((BLOCK, n), dtype=bool), np.empty((BLOCK, n))
     for k0 in range(0, params.iterations, BLOCK):
         for row, rng, consumed in zip(draws, rngs, cursor - row_start):  # keep the unread tail
             row[: row.size - consumed] = row[consumed:]
@@ -152,6 +153,7 @@ def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = Fal
         cursor[:] = row_start
         size = min(BLOCK, params.iterations - k0)
         for k in range(size):
+            met[k] = p_zero
             kicked = np.flatnonzero(np.greater(flat[cursor], p_zero, out=punished[k]))
             cursor += 1
             w_kicked = w[kicked]  # the pre-update w sets the kick's interval
@@ -165,27 +167,19 @@ def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = Fal
                 refresh(kicked, kicked_transform)
                 w[kicked] = np.minimum(params.punish_rate * w_kicked, 1.0)
             block[..., k] = state.T
-        yield k0, block[..., :size], punished[:size].T
+        yield k0, block[..., :size], punished[:size].T, met[:size].T
 
 
 def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> list[IterationRecord]:
     """Run one full realization through ``run_lockstep`` and return its iteration records.
 
-    Fully deterministic for a given seed. The engine reads both basis bits, so
-    every record carries the flipped-bit fidelities too. ``p_zero`` of step k
-    is the engine's ``pure_prob_zero`` of the fidelities of record k - 1 (of
-    the identity for k = 1), and ``outcome`` is the engine's punishment flag
-    of step k.
+    Fully deterministic for a given seed; ``mix_seed(master_seed, i)`` gives
+    realization i of an ensemble. Each record copies step k of the engine's
+    one pass: its trajectory row, its punishment flag as ``outcome`` and the
+    P(0) its measurement draw met. The engine reads both basis bits, so every
+    record carries the flipped-bit fidelities too.
     """
-    blocks, flags = [], []
-    for _, block, punished in run_lockstep([(channel, [seed])], params, dual_basis=True):
-        blocks.append(block[0].copy())  # copies: the engine reuses its buffers
-        flags.append(punished[0].copy())
-    rows = np.concatenate(blocks, axis=1)  # w, f_e, f_g, f_max, f_e_b1, f_g_b1 per iteration
-    before = np.empty((2, params.iterations))  # f_e, f_g of the state each step prepares
-    before[:, :1] = _readout(IDENTITY[None], 2)
-    before[:, 1:] = rows[1:3, :-1]
-    p_zero = pure_prob_zero(channel.prob_zero_terms(), before[0] ** 2, before[1] ** 2).tolist()
-    outcomes = np.concatenate(flags).astype(int).tolist()
-    return [IterationRecord(k, outcome, *values[:4], p, *values[4:])
-            for k, (values, p, outcome) in enumerate(zip(rows.T.tolist(), p_zero, outcomes), start=1)]
+    parts = [np.vstack((punished[0], block[0, :4], p_zero[0], block[0, 4:]))  # copies the reused buffers
+             for _, block, punished, p_zero in run_lockstep([(channel, [seed])], params, dual_basis=True)]
+    rows = np.concatenate(parts, axis=1).T.tolist()  # outcome, w, f_e, f_g, f_max, p_zero, f_e_b1, f_g_b1
+    return [IterationRecord(k, int(outcome), *values) for k, (outcome, *values) in enumerate(rows, start=1)]

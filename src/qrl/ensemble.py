@@ -32,7 +32,7 @@ _CHUNK_BYTES = 4 << 20
 
 
 def mix_seed(master_seed: int, index: int) -> int:
-    """Derive the per-realization seed of an integer master seed in [0, 2**64), bit-exactly.
+    """Derive the seed of realization ``index`` from ``master_seed``, both integers in [0, 2**64), bit-exactly.
 
     This is the splitmix64 output function applied to the state
     ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all arithmetic
@@ -42,10 +42,9 @@ def mix_seed(master_seed: int, index: int) -> int:
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
     """
-    if isinstance(master_seed, bool) or not 0 <= operator.index(master_seed) <= _MASK64:
-        raise ValueError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
-    if index < 0:
-        raise ValueError(f"realization index must be >= 0, got {index}")
+    for name, value in (("master_seed", master_seed), ("realization index", index)):
+        if isinstance(value, bool) or not 0 <= operator.index(value) <= _MASK64:
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     z = (operator.index(master_seed) + (operator.index(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -156,7 +155,7 @@ def run_ensembles(cfgs: list[EnsembleConfig]) -> Iterator[EnsembleStats]:
         cells = [(cfg.channel, seeds) for cfg, *_, seeds in chunk]
         bounds = np.cumsum([len(seeds) for *_, seeds in chunk])[:-1]
         dual = any(cfg.dual_basis for cfg, *_ in chunk)
-        for k0, block, _ in run_lockstep(cells, chunk[0][0].params, dual_basis=dual):
+        for k0, block, *_ in run_lockstep(cells, chunk[0][0].params, dual_basis=dual):
             # each segment's rows and columns into its moments, in index order
             for (_, moments, first, _), rows in zip(chunk, np.split(block, bounds)):
                 moments.add_block(first, k0, rows[:, : len(moments.mean)])

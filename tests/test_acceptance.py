@@ -284,7 +284,7 @@ def test_criterion_11_first_kick_matches_quadrature():
     params = AlgorithmParams(reward_rate=0.1, iterations=2)
     rewarded, one_kick = 0, []
     for start in range(0, 40_000, 1000):  # 1000 seeds per engine call keeps its draw buffer small
-        for _, block, punished in run_lockstep([(channel, list(range(start, start + 1000)))], params):
+        for _, block, punished, _ in run_lockstep([(channel, list(range(start, start + 1000)))], params):
             rewarded += np.count_nonzero(~punished[:, 0])
             # Rewarded at step 1, so step 2 kicks |0> with the post-reward w = reward_rate.
             one_kick.append(block[~punished[:, 0] & punished[:, 1], 1, 1])  # f_e after step 2

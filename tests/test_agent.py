@@ -372,7 +372,7 @@ class TestRunLockstep:
         channel, params, dual = self.CASES[case]
         seeds = [1000 * case + i for i in range(13)]
         blocks, flags = [], []
-        for k0, block, punished in run_lockstep([(channel, seeds)], params, dual_basis=dual):
+        for k0, block, punished, _ in run_lockstep([(channel, seeds)], params, dual_basis=dual):
             assert k0 == sum(b.shape[2] for b in blocks) and 1 <= block.shape[2] <= BLOCK
             assert punished.shape == (len(seeds), block.shape[2]) and punished.dtype == bool
             blocks.append(block.copy())  # the engine reuses its buffers
@@ -404,7 +404,7 @@ class TestRunLockstep:
         blocks, flags = [], []
         seeds, iterations = list(range(5)), 2 * BLOCK + 9  # two full blocks and a partial third
         cells = [(Channel(kind="adn", tau=1.0, t_dec=1.0), seeds)]
-        for _, block, punished in run_lockstep(cells, AlgorithmParams(iterations=iterations), dual_basis=True):
+        for _, block, punished, _ in run_lockstep(cells, AlgorithmParams(iterations=iterations), dual_basis=True):
             blocks.append(block[:, 0].copy())  # w
             flags.append(punished.copy())
         # The initial fill, then a refill after each full block of what it read.
@@ -424,17 +424,30 @@ class TestRunLockstep:
 
         monkeypatch.setattr(np.random, "default_rng", Tied)
         monkeypatch.setattr(agent, "pure_prob_zero", lambda terms, pe, pg: np.full_like(pe, tie))
-        ws, flags = [], []
+        ws, flags, p_zeros = [], [], []
         params = AlgorithmParams(reward_rate=0.8, iterations=BLOCK + 5)
-        for _, block, punished in run_lockstep([(Channel(kind="pdn", tau=1.0, t_dec=2.0), [0, 1, 2])], params):
+        cells = [(Channel(kind="pdn", tau=1.0, t_dec=2.0), [0, 1, 2])]
+        for _, block, punished, p_zero in run_lockstep(cells, params):
             ws.append(block[:, 0].copy())
             flags.append(punished.copy())
+            p_zeros.append(p_zero.copy())
         assert not np.concatenate(flags, axis=1).any()
+        assert np.concatenate(p_zeros, axis=1).tolist() == [[tie] * params.iterations] * 3
         expected, w = [], 1.0
         for _ in range(params.iterations):
             w *= params.reward_rate
             expected.append(w)
         assert np.concatenate(ws, axis=1).tolist() == [expected] * 3
+
+    def test_flipped_bit_readouts_mirror_bit_zero(self):
+        # For any 2x2 unitary U and the real orthonormal eigenstates, |<e|U|1>| = |<g|U|0>| and
+        # |<g|U|1>| = |<e|U|0>|; the engine reads the flipped-bit rows with dot products of their own.
+        for channel, params, dual in self.CASES:
+            if not dual:
+                continue
+            for _, block, *_ in run_lockstep([(channel, list(range(200)))], params, dual_basis=True):
+                assert np.abs(block[:, 4] - block[:, 2]).max() <= 1e-14
+                assert np.abs(block[:, 5] - block[:, 1]).max() <= 1e-14
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_public_records_match_oracle(self, case, engine_passes):

@@ -558,6 +558,14 @@ class TestPlotCommand:
         assert capsys.readouterr().err == "qrl: series 'bad' contains non-finite values\n"
         assert not out.exists()
 
+    def test_header_only_csv_exits_1_naming_the_series(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("k,W\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(empty), "--column", "W", "--out", str(out)]) == 1
+        assert "series 'empty' is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_without_k_column_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "nok.csv"
         bad.write_text("W,F_max\n0.5,0.9\n")

@@ -57,6 +57,13 @@ class TestMixSeed:
             with pytest.raises(ValueError, match="master_seed must be an integer"):
                 mix_seed(seed, 0)
 
+    def test_rejects_an_index_outside_64_bits_or_a_bool(self):
+        # Reduced mod 2**64, 2**64 would replay realization 0, and True would replay realization 1.
+        for index in (2**64, True):
+            with pytest.raises(ValueError, match=r"realization index must be an integer in \[0, 2\*\*64\)"):
+                mix_seed(0, index)
+        assert mix_seed(0, 2**64 - 1) == 0  # the state 2**64 * 0x9E37... wraps to splitmix64's fixed point 0
+
 
 class TestConfig:
     def test_rejects_empty_ensemble(self):

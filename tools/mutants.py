@@ -48,7 +48,8 @@ MUTANTS = (
            "return np.hypot(amplitude.real, amplitude.imag).T", "return np.abs(amplitude).T",
            ("tests/test_agent.py::TestReadout",)),
     Mutant("flipped-bit readouts read bit 0", "src/qrl/agent.py",
-           "np.array([0, 0, 1, 1])", "np.array([0, 0, 0, 0])", (LOCKSTEP,)),
+           "np.array([0, 0, 1, 1])", "np.array([0, 0, 0, 0])",
+           (LOCKSTEP, f"{LOCKSTEP}::test_flipped_bit_readouts_mirror_bit_zero")),
     Mutant("coherence factor 2 dropped", "src/qrl/channels.py",
            "2.0 * survive * math.cos(self.tau)", "survive * math.cos(self.tau)",
            ("tests/test_channels.py::TestPureProbZero",)),
@@ -62,6 +63,10 @@ MUTANTS = (
     Mutant("a draw equal to P(0) punishes", "src/qrl/agent.py",
            "np.greater(flat[cursor], p_zero", "np.greater_equal(flat[cursor], p_zero",
            (f"{LOCKSTEP}::test_a_draw_equal_to_p_zero_is_a_reward",)),
+    Mutant("P(0) recorded after the kick", "src/qrl/agent.py",
+           "refresh(kicked, kicked_transform)\n",
+           "refresh(kicked, kicked_transform)\n                met[k] = p_zero\n",
+           (f"{LOCKSTEP}::test_public_records_match_oracle",)),
     Mutant("kept draw tail dropped", "src/qrl/agent.py",
            "row[: row.size - consumed] = row[consumed:]\n            rng.random(out=row[row.size - consumed :])",
            "rng.random(out=row)", (LOCKSTEP,)),
@@ -84,11 +89,13 @@ MUTANTS = (
            "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
            equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
     Mutant("mix_seed range check dropped", "src/qrl/ensemble.py",
-           "if isinstance(master_seed, bool) or not 0 <= operator.index(master_seed) <= _MASK64:",
-           "if isinstance(master_seed, bool):",
+           "if isinstance(value, bool) or not 0 <= operator.index(value) <= _MASK64:", "if isinstance(value, bool):",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_a_master_seed_outside_64_bits",)),
-    Mutant("mix_seed takes a bool", "src/qrl/ensemble.py", "isinstance(master_seed, bool) or not 0", "not 0",
+    Mutant("mix_seed takes a bool", "src/qrl/ensemble.py", "isinstance(value, bool) or not 0", "not 0",
            ("tests/test_ensemble.py::TestMixSeed::test_takes_numpy_integers_and_refuses_a_bool",)),
+    Mutant("mix_seed's index rule dropped", "src/qrl/ensemble.py",
+           '(("master_seed", master_seed), ("realization index", index))', '(("master_seed", master_seed),)',
+           ("tests/test_ensemble.py::TestMixSeed::test_rejects_an_index_outside_64_bits_or_a_bool",)),
     Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
            ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
     Mutant("clash check without following links", "src/qrl/cli.py",
@@ -126,6 +133,8 @@ MUTANTS = (
     Mutant("byte-order mark kept by read_csv", "src/qrl/output.py",
            'encoding="utf-8-sig", newline=""', 'encoding="utf-8", newline=""',
            (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
+    Mutant("empty-series check dropped", "src/qrl/output.py", "if len(x) == 0:", "if False:",
+           (f"{PLOT}::test_header_only_csv_exits_1_naming_the_series",)),
     Mutant("chart's drawable-span check dropped", "src/qrl/output.py", "if not 0 < span < np.inf:", "if False:",
            ("tests/test_output.py::TestEmitSvg::test_refuses_a_range_it_cannot_draw",)),
     Mutant("one tick fewer per axis", "src/qrl/output.py", "for i in range(_TICKS + 1):", "for i in range(_TICKS):",
