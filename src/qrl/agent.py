@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channels import EXCITED, GROUND, Channel, _store_numbers, pure_prob_zero
+from .channels import EXCITED, GROUND, Channel, _seed, _store_numbers, pure_prob_zero
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 # The read-only identity and Pauli X, Y, Z, stacked to broadcast against (3, m, 1, 1) half-angles,
@@ -173,13 +173,14 @@ def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = Fal
 def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> list[IterationRecord]:
     """Run one full realization through ``run_lockstep`` and return its iteration records.
 
-    Fully deterministic for a given seed; ``mix_seed(master_seed, i)`` gives
-    realization i of an ensemble. Each record copies step k of the engine's
-    one pass: its trajectory row, its punishment flag as ``outcome`` and the
-    P(0) its measurement draw met. The engine reads both basis bits, so every
-    record carries the flipped-bit fidelities too.
+    Fully deterministic for a seed; ``mix_seed(master_seed, i)`` gives
+    realization i of an ensemble, and the seed follows its rule: an integer
+    in [0, 2**64), not a bool. Each record copies step k of the engine's one
+    pass: its trajectory row, its punishment flag as ``outcome``, the P(0) its
+    measurement draw met and, as the engine reads both bits, bit 1's fidelities.
     """
+    cells = [(channel, [_seed("seed", seed)])]
     parts = [np.vstack((punished[0], block[0, :4], p_zero[0], block[0, 4:]))  # copies the reused buffers
-             for _, block, punished, p_zero in run_lockstep([(channel, [seed])], params, dual_basis=True)]
+             for _, block, punished, p_zero in run_lockstep(cells, params, dual_basis=True)]
     rows = np.concatenate(parts, axis=1).T.tolist()  # outcome, w, f_e, f_g, f_max, p_zero, f_e_b1, f_g_b1
     return [IterationRecord(k, int(outcome), *values) for k, (outcome, *values) in enumerate(rows, start=1)]

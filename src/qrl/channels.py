@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,13 @@ def _store_numbers(owner, kind: type, *names: str) -> None:
             what = "an integer" if kind is int else "a real number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
         object.__setattr__(owner, name, kind(value))
+
+
+def _seed(name: str, value) -> int:
+    """``value`` by ``operator.index``; ValueError naming ``name`` if it is a bool or outside [0, 2**64)."""
+    if isinstance(value, bool) or not 0 <= operator.index(value) < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return operator.index(value)
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:

@@ -12,14 +12,13 @@ order, so the bits never depend on chunk or block size.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .agent import AlgorithmParams, run_lockstep
-from .channels import Channel, _store_numbers
+from .channels import Channel, _seed, _store_numbers
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -32,20 +31,17 @@ _CHUNK_BYTES = 4 << 20
 
 
 def mix_seed(master_seed: int, index: int) -> int:
-    """Derive the seed of realization ``index`` from ``master_seed``, both integers in [0, 2**64), bit-exactly.
+    """Derive the seed of realization ``index`` from ``master_seed``, bit-exactly.
 
-    This is the splitmix64 output function applied to the state
-    ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all arithmetic
-    mod 2**64):
+    Both are integers in [0, 2**64), not bools, as is ``run_realization``'s
+    seed. This is the splitmix64 output function applied to the state
+    ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all arithmetic mod 2**64):
 
         z ^= z >> 30;  z *= 0xBF58476D1CE4E5B9
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
     """
-    for name, value in (("master_seed", master_seed), ("realization index", index)):
-        if isinstance(value, bool) or not 0 <= operator.index(value) <= _MASK64:
-            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    z = (operator.index(master_seed) + (operator.index(index) + 1) * _GOLDEN) & _MASK64
+    z = (_seed("master_seed", master_seed) + (_seed("realization index", index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -72,7 +68,7 @@ class EnsembleConfig:
         _store_numbers(self, int, "n_realizations", "master_seed")
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        mix_seed(self.master_seed, 0)  # raises unless master_seed is in [0, 2**64)
+        _seed("master_seed", self.master_seed)
 
 
 @dataclass

@@ -1,23 +1,25 @@
 """CSV and SVG serialization of ensemble statistics.
 
-The CSV layout is the package's canonical, diff-able output format:
-header ``k,W,F_e,F_g,F_max[,F_e_b1,F_g_b1],se_W,se_F_e,se_F_g,se_F_max``,
-one row per iteration with k counting from 1, floats printed with 12
-significant digits, LF line endings, UTF-8. The SVG emitter renders a
-self-contained static line chart (SVG 1.1, no external assets). Every path
-is written through ``check_destination``: a link is followed and its target
-replaced atomically; an existing directory, FIFO, device or socket, or a
-missing parent directory, is an OSError, and nothing is written. Every path
-is read through ``check_source``: a FIFO is an OSError, not a read that blocks.
+The CSV layout is the package's canonical, diff-able output format: header
+``k,W,F_e,F_g,F_max[,F_e_b1,F_g_b1],se_W,se_F_e,se_F_g,se_F_max``, one row per
+iteration with k counting from 1, floats printed with 12 significant digits,
+LF line endings, UTF-8. The SVG emitter renders a self-contained static line
+chart (SVG 1.1, no external assets). The one writer, ``_emit``, follows a link
+and replaces its target atomically; an existing directory, FIFO, device or
+socket, or a missing parent directory, is an OSError, and nothing is written.
+The one reader, ``read_text``, refuses a FIFO with an OSError, not a read that
+blocks, and a file that is not UTF-8 with a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import os
 from html import escape
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -38,7 +40,10 @@ def check_source(path: str | Path) -> Path:
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of the file at ``path``, a leading byte-order mark dropped, read through ``check_source``."""
     with open(check_source(path), encoding="utf-8-sig") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def check_destination(path: str | Path) -> Path:
@@ -49,16 +54,16 @@ def check_destination(path: str | Path) -> Path:
     return real
 
 
-def _emit(destination: str | Path | TextIO, write: Callable[[TextIO], object]) -> None:
-    """Run ``write`` on a stream, or on a temporary file that replaces the path only if it succeeds."""
+def _emit(destination: str | Path | TextIO, lines: Iterable[str]) -> None:
+    """Write ``lines`` to a stream, or to a temporary file that replaces the path only if every line is written."""
     if hasattr(destination, "write"):
-        write(destination)
+        destination.writelines(lines)
         return
     destination = check_destination(destination)
     temporary = destination.with_name(f".{destination.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
+            handle.writelines(lines)
         os.replace(temporary, destination)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -67,30 +72,24 @@ def _emit(destination: str | Path | TextIO, write: Callable[[TextIO], object]) -
 
 def emit_csv(stats: EnsembleStats, destination: str | Path | TextIO) -> None:
     """Write ensemble statistics as CSV to a text stream, or atomically to a path."""
-    _emit(destination, lambda handle: _write_csv(stats, handle))
-
-
-def _write_csv(stats: EnsembleStats, handle: TextIO) -> None:
     names = [name for name in _COLUMNS if getattr(stats, name.lower()) is not None]
     columns = [getattr(stats, name.lower()).tolist() for name in names]
     row = "%d" + ",%.12g" * len(names) + "\n"  # '%.12g' % v is format(v, '.12g'), byte for byte
-    handle.write(",".join(["k", *names]) + "\n")
-    # strict: ragged stats raise ValueError at their first missing row.
+    # strict: ragged stats raise ValueError at their first missing row, so the old file is kept.
     rows = zip(range(1, stats.iterations + 1), *columns, strict=True)
-    handle.writelines(row % values for values in rows)
+    _emit(destination, itertools.chain([",".join(["k", *names]) + "\n"], (row % values for values in rows)))
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read an emitted CSV, a leading byte-order mark dropped, into column arrays keyed by header name."""
-    with open(check_source(path), encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            rows = list(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        except csv.Error as exc:  # a field over the csv module's size limit
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    """Read an emitted CSV through ``read_text`` into column arrays keyed by header name."""
+    reader = csv.reader(io.StringIO(read_text(path)))
+    try:
+        header = next(reader)
+        rows = list(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty CSV") from None
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     parsers = [np.int64 if name == "k" else float for name in header]
     values = []
     for line, row in enumerate(rows, start=2):
@@ -177,7 +176,7 @@ def emit_svg(
             f'<text x="{lx + 30}" y="{ly + 4}" {_FONT}="12">{escape(str(label))}</text>',
         ]
     text = "\n".join([*parts, *legend, "</svg>"]) + "\n"
-    _emit(destination, lambda handle: handle.write(text))
+    _emit(destination, [text])
 
 
 def _axis(columns: Sequence[np.ndarray]) -> tuple[float, float]:

@@ -309,6 +309,15 @@ class TestRunRealization:
             )
             assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_refuses_a_seed_mix_seed_cannot_return(self):
+        # mix_seed returns ints in [0, 2**64); True would replay seed 1 and 2**64 no realization at all.
+        channel, params = Channel(kind="adn", tau=1.0, t_dec=1.0), AlgorithmParams(iterations=5)
+        for seed in (True, False, -1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                run_realization(channel, params, seed)
+        assert run_realization(channel, params, np.uint64(7)) == run_realization(channel, params, 7)
+        assert len(run_realization(channel, params, 2**64 - 1)) == 5
+
     def test_dual_basis_records(self):
         channel = Channel(kind="adn", tau=1.0, t_dec=1.0)
         params = AlgorithmParams(iterations=50)

@@ -491,6 +491,13 @@ class TestSweepCommand:
             1, f"qrl: {fifo}: exists and is not a regular file\n")
         assert is_fifo(fifo)
 
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "latin1.sweep"
+        config.write_bytes(b"noise = adn\n# r\xe9glage\nout = a.csv\n")
+        assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"qrl: {config}: 'utf-8' codec can't decode byte 0xe9")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_content_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.sweep"
         config.write_text("voltage = 9\n")
@@ -548,6 +555,15 @@ class TestPlotCommand:
         out = tmp_path / "x.svg"
         assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"qrl: {bad}: line 3 has 1 fields, header has 2\n"
+        assert not out.exists()
+
+    def test_undecodable_csv_names_its_file(self, tmp_path, csv_files, capsys):
+        # With several inputs, only the path says which one is bad.
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"k,W\n1,\xff\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(csv_files[0]), str(bad), "--column", "W", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"qrl: {bad}: 'utf-8' codec can't decode byte 0xff in position 6")
         assert not out.exists()
 
     def test_non_finite_value_names_its_file(self, tmp_path, capsys):

@@ -70,15 +70,22 @@ class TestEmitCsv:
         emit_csv(stats, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_read_back_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_read_back_roundtrip(self, ending, tmp_path):
+        # Emitted CSVs end lines with LF; one saved by another tool may use CRLF or CR alone.
         path = tmp_path / "roundtrip.csv"
         stats = make_stats({"w": [0.9, 0.81], "f_g": [0.7, 0.75], "se_w": [0.01, 0.02]})
         emit_csv(stats, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
         columns = read_csv(path)
+        assert list(columns) == ["k", "W", "F_e", "F_g", "F_max", "se_W", "se_F_e", "se_F_g", "se_F_max"]
         np.testing.assert_array_equal(columns["k"], [1, 2])
         np.testing.assert_allclose(columns["W"], stats.w, rtol=1e-11)
         np.testing.assert_allclose(columns["F_g"], stats.f_g, rtol=1e-11)
         np.testing.assert_allclose(columns["se_W"], stats.se_w, rtol=1e-11)
+        path.write_bytes(b"k,W" + ending + b"1,0.5" + ending + ending)  # a trailing blank line
+        with pytest.raises(ValueError, match="line 3 has 0 fields, header has 2"):
+            read_csv(path)
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -88,14 +88,15 @@ MUTANTS = (
     Mutant("a chunk that fits exactly is closed", "src/qrl/ensemble.py",
            "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
            equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
-    Mutant("mix_seed range check dropped", "src/qrl/ensemble.py",
-           "if isinstance(value, bool) or not 0 <= operator.index(value) <= _MASK64:", "if isinstance(value, bool):",
+    Mutant("seed range check dropped", "src/qrl/channels.py",
+           "if isinstance(value, bool) or not 0 <= operator.index(value) < 2**64:", "if isinstance(value, bool):",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_a_master_seed_outside_64_bits",)),
-    Mutant("mix_seed takes a bool", "src/qrl/ensemble.py", "isinstance(value, bool) or not 0", "not 0",
+    Mutant("seed rule takes a bool", "src/qrl/channels.py", "isinstance(value, bool) or not 0", "not 0",
            ("tests/test_ensemble.py::TestMixSeed::test_takes_numpy_integers_and_refuses_a_bool",)),
-    Mutant("mix_seed's index rule dropped", "src/qrl/ensemble.py",
-           '(("master_seed", master_seed), ("realization index", index))', '(("master_seed", master_seed),)',
+    Mutant("mix_seed's index rule dropped", "src/qrl/ensemble.py", '_seed("realization index", index)', "int(index)",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_an_index_outside_64_bits_or_a_bool",)),
+    Mutant("run_realization's seed unchecked", "src/qrl/agent.py", '[_seed("seed", seed)]', "[seed]",
+           ("tests/test_agent.py::TestRunRealization::test_refuses_a_seed_mix_seed_cannot_return",)),
     Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
            ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
     Mutant("clash check without following links", "src/qrl/cli.py",
@@ -130,9 +131,10 @@ MUTANTS = (
     Mutant("byte-order mark kept by read_text", "src/qrl/output.py",
            'encoding="utf-8-sig") as', 'encoding="utf-8") as',
            (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
-    Mutant("byte-order mark kept by read_csv", "src/qrl/output.py",
-           'encoding="utf-8-sig", newline=""', 'encoding="utf-8", newline=""',
-           (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
+    Mutant("decode error without the path", "src/qrl/output.py",
+           'raise ValueError(f"{path}: {exc}") from None', "raise",
+           (f"{PLOT}::test_undecodable_csv_names_its_file",
+            "tests/test_cli.py::TestSweepCommand::test_undecodable_config_names_its_file")),
     Mutant("empty-series check dropped", "src/qrl/output.py", "if len(x) == 0:", "if False:",
            (f"{PLOT}::test_header_only_csv_exits_1_naming_the_series",)),
     Mutant("chart's drawable-span check dropped", "src/qrl/output.py", "if not 0 < span < np.inf:", "if False:",
@@ -140,7 +142,7 @@ MUTANTS = (
     Mutant("one tick fewer per axis", "src/qrl/output.py", "for i in range(_TICKS + 1):", "for i in range(_TICKS):",
            ("tests/test_output.py::TestEmitSvg::test_chart_bytes_are_pinned",)),
     Mutant("csv.Error left uncaught by read_csv", "src/qrl/output.py",
-           "        except csv.Error as exc:", "        except ZeroDivisionError as exc:",
+           "    except csv.Error as exc:", "    except ZeroDivisionError as exc:",
            (f"{PLOT}::test_unreadable_field_names_path_and_line",)),
 )
 
