@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channels import EXCITED, GROUND, Channel, _seed, _store_numbers, pure_prob_zero
+from .channels import EXCITED, GROUND, Channel, _instances, _seed, _store, pure_prob_zero
 
 BLOCK = 64  # iterations per trajectory block of ``run_lockstep``
 # The read-only identity and Pauli X, Y, Z, stacked to broadcast against (3, m, 1, 1) half-angles,
@@ -63,14 +63,9 @@ class AlgorithmParams:
     iterations: int = 500
 
     def __post_init__(self):
-        _store_numbers(self, float, "reward_rate", "punish_rate")
-        _store_numbers(self, int, "iterations")
-        if not 0.0 < self.reward_rate < 1.0:
-            raise ValueError(f"reward_rate must be in (0, 1), got {self.reward_rate}")
-        if not (self.punish_rate > 1.0 and math.isfinite(self.punish_rate)):
-            raise ValueError(f"punish_rate must be finite and > 1, got {self.punish_rate}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        _store(self, "reward_rate", float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+        _store(self, "punish_rate", float, "in (1, inf)", lambda v: 1.0 < v < math.inf)
+        _store(self, "iterations", int, ">= 1", lambda v: v >= 1)
 
 
 @dataclass(frozen=True)
@@ -173,12 +168,13 @@ def run_lockstep(cells: list, params: AlgorithmParams, *, dual_basis: bool = Fal
 def run_realization(channel: Channel, params: AlgorithmParams, seed: int) -> list[IterationRecord]:
     """Run one full realization through ``run_lockstep`` and return its iteration records.
 
-    Fully deterministic for a seed; ``mix_seed(master_seed, i)`` gives
-    realization i of an ensemble, and the seed follows its rule: an integer
-    in [0, 2**64), not a bool. Each record copies step k of the engine's one
+    Fully deterministic for a seed; ``mix_seed(master_seed, i)`` gives realization i of an
+    ensemble. The seed follows its rule, an integer in [0, 2**64), and ``channel`` and ``params``
+    must be of their types, as in ``EnsembleConfig``. Each record copies step k of the engine's one
     pass: its trajectory row, its punishment flag as ``outcome``, the P(0) its
     measurement draw met and, as the engine reads both bits, bit 1's fidelities.
     """
+    _instances(channel=(channel, Channel), params=(params, AlgorithmParams))
     cells = [(channel, [_seed("seed", seed)])]
     parts = [np.vstack((punished[0], block[0, :4], p_zero[0], block[0, 4:]))  # copies the reused buffers
              for _, block, punished, p_zero in run_lockstep(cells, params, dual_basis=True)]

@@ -28,9 +28,9 @@ are in the computational basis.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +41,30 @@ NOISE_KINDS = ("noiseless", "pdn", "adn")
 ATOL = 1e-12
 
 
-def _store_numbers(owner, kind: type, *names: str) -> None:
-    """Store fields ``names`` of the frozen ``owner`` as ``kind``, int or float, or raise naming one."""
-    for name in names:
-        value = getattr(owner, name)  # numpy scalars pass and are stored as Python numbers; a bool fails
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-            what = "an integer" if kind is int else "a real number"
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-        object.__setattr__(owner, name, kind(value))
+def _number(name: str, value, kind: type, rule: str, within) -> int | float:
+    """``kind(value)`` if ``value`` is an integer (a real for ``kind`` float), not a bool, and ``within`` holds."""
+    of_kind = not isinstance(value, bool) and isinstance(value, numbers.Integral if kind is int else numbers.Real)
+    with contextlib.suppress(OverflowError):  # an int too large for a float fails the rule
+        if of_kind and within(number := kind(value)):
+            return number  # a Python number, also for a numpy scalar
+    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'} {rule}, got {value!r}")
+
+
+def _store(owner, name: str, kind: type, rule: str, within) -> None:
+    """Store field ``name`` of the frozen ``owner`` as the ``_number`` of its value."""
+    object.__setattr__(owner, name, _number(name, getattr(owner, name), kind, rule, within))
 
 
 def _seed(name: str, value) -> int:
-    """``value`` by ``operator.index``; ValueError naming ``name`` if it is a bool or outside [0, 2**64)."""
-    if isinstance(value, bool) or not 0 <= operator.index(value) < 2**64:
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    return operator.index(value)
+    """``value`` under the seed rule: ``_number`` of an integer in [0, 2**64)."""
+    return _number(name, value, int, "in [0, 2**64)", lambda v: 0 <= v < 2**64)
+
+
+def _instances(**fields: tuple) -> None:
+    """ValueError naming the first of ``fields``, each a (value, type) pair, whose value is not of its type."""
+    for name, (value, kind) in fields.items():
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
@@ -94,11 +103,8 @@ class Channel:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {NOISE_KINDS}")
         object.__setattr__(self, "kind", str(self.kind))
-        _store_numbers(self, float, "tau", "t_dec")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if math.isnan(self.t_dec) or self.t_dec <= 0.0:
-            raise ValueError(f"t_dec must be positive (inf allowed), got {self.t_dec}")
+        _store(self, "tau", float, "in (0, inf)", lambda v: 0.0 < v < math.inf)
+        _store(self, "t_dec", float, "in (0, inf]", lambda v: v > 0.0)
         if self.kind == "noiseless":
             object.__setattr__(self, "t_dec", math.inf)
 
@@ -115,12 +121,9 @@ class Channel:
 def hamiltonian_unitary(tau: float) -> np.ndarray:
     """Propagator exp(-i H tau) in the computational basis.
 
-    Evaluates exp(-i*tau/2)|e><e| + exp(+i*tau/2)|g><g| by
-    eigen-decomposition; tau may be any finite real, including 0.
+    Evaluates exp(-i*tau/2)|e><e| + exp(+i*tau/2)|g><g|; tau is any finite real, 0 included.
     """
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    phase = np.exp(-0.5j * tau)
+    phase = np.exp(-0.5j * _number("tau", tau, float, "that is finite", math.isfinite))
     return phase * _EXCITED_PROJ + phase.conj() * _GROUND_PROJ
 
 

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .agent import AlgorithmParams, run_lockstep
-from .channels import Channel, _seed, _store_numbers
+from .channels import Channel, _instances, _seed, _store
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -58,17 +58,12 @@ class EnsembleConfig:
     dual_basis: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.channel, Channel):
-            raise ValueError(f"channel must be a Channel, got {self.channel!r}")
-        if not isinstance(self.params, AlgorithmParams):
-            raise ValueError(f"params must be AlgorithmParams, got {self.params!r}")
+        _instances(channel=(self.channel, Channel), params=(self.params, AlgorithmParams))
         if not isinstance(self.dual_basis, (bool, np.bool_)):
             raise ValueError(f"dual_basis must be a bool, got {self.dual_basis!r}")
         object.__setattr__(self, "dual_basis", bool(self.dual_basis))
-        _store_numbers(self, int, "n_realizations", "master_seed")
-        if self.n_realizations < 1:
-            raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
-        _seed("master_seed", self.master_seed)
+        _store(self, "n_realizations", int, ">= 1", lambda v: v >= 1)
+        object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
 
 
 @dataclass

@@ -67,14 +67,14 @@ class TestAlgorithmParams:
         assert (params.reward_rate, params.punish_rate) == (0.9, 1.5)
         assert params.iterations == 500
 
-    @pytest.mark.parametrize("reward", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("reward", [0.0, 1.0, -0.2, 1.7, math.nan, pytest.param(10**400, id="1e400")])
     def test_rejects_bad_reward(self, reward):
-        with pytest.raises(ValueError, match="reward_rate"):
+        with pytest.raises(ValueError, match=r"reward_rate must be a real number in \(0, 1\), got "):
             AlgorithmParams(reward_rate=reward)
 
-    @pytest.mark.parametrize("punish", [1.0, 0.5, -3.0, math.inf, math.nan])
+    @pytest.mark.parametrize("punish", [1.0, 0.5, -3.0, math.inf, math.nan, pytest.param(10**400, id="1e400")])
     def test_rejects_bad_punish(self, punish):
-        with pytest.raises(ValueError, match="punish_rate"):
+        with pytest.raises(ValueError, match=r"punish_rate must be a real number in \(1, inf\), got "):
             AlgorithmParams(punish_rate=punish)
 
     @pytest.mark.parametrize("field, value", [("reward_rate", None), ("reward_rate", "0.9"), ("reward_rate", False),
@@ -85,7 +85,7 @@ class TestAlgorithmParams:
             AlgorithmParams(**{field: value})
 
     def test_rejects_bad_iterations(self):
-        with pytest.raises(ValueError, match="iterations"):
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1, got -1"):
             AlgorithmParams(iterations=-1)
 
     def test_fields_are_frozen(self):
@@ -312,9 +312,13 @@ class TestRunRealization:
     def test_refuses_a_seed_mix_seed_cannot_return(self):
         # mix_seed returns ints in [0, 2**64); True would replay seed 1 and 2**64 no realization at all.
         channel, params = Channel(kind="adn", tau=1.0, t_dec=1.0), AlgorithmParams(iterations=5)
-        for seed in (True, False, -1, 2**64):
+        for seed in (True, False, -1, 2**64, 1.5, "3"):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 run_realization(channel, params, seed)
+        with pytest.raises(ValueError, match="channel must be of type Channel, got 'adn'"):
+            run_realization("adn", params, 7)
+        with pytest.raises(ValueError, match="params must be of type AlgorithmParams"):
+            run_realization(channel, {"iterations": 5}, 7)
         assert run_realization(channel, params, np.uint64(7)) == run_realization(channel, params, 7)
         assert len(run_realization(channel, params, 2**64 - 1)) == 5
 

@@ -53,13 +53,13 @@ class TestMixSeed:
         # What EnsembleConfig takes as a master seed: numpy integers stand for their value, a bool for none.
         assert mix_seed(np.int64(5), np.int64(1)) == mix_seed(np.uint64(5), np.uint8(1)) == mix_seed(5, 1)
         assert mix_seed(np.uint64(2**63), 1) == mix_seed(2**63, 1)
-        for seed in (True, False):
-            with pytest.raises(ValueError, match="master_seed must be an integer"):
+        for seed in (True, False, 1.5, "3"):
+            with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\*\*64\), got "):
                 mix_seed(seed, 0)
 
     def test_rejects_an_index_outside_64_bits_or_a_bool(self):
         # Reduced mod 2**64, 2**64 would replay realization 0, and True would replay realization 1.
-        for index in (2**64, True):
+        for index in (2**64, True, 1.5):
             with pytest.raises(ValueError, match=r"realization index must be an integer in \[0, 2\*\*64\)"):
                 mix_seed(0, index)
         assert mix_seed(0, 2**64 - 1) == 0  # the state 2**64 * 0x9E37... wraps to splitmix64's fixed point 0
@@ -67,7 +67,7 @@ class TestMixSeed:
 
 class TestConfig:
     def test_rejects_empty_ensemble(self):
-        with pytest.raises(ValueError, match="n_realizations"):
+        with pytest.raises(ValueError, match="n_realizations must be an integer >= 1, got 0"):
             small_config(n=0)
 
     @pytest.mark.parametrize("value", [10.0, "10", None, True, False])

@@ -88,15 +88,25 @@ MUTANTS = (
     Mutant("a chunk that fits exactly is closed", "src/qrl/ensemble.py",
            "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
            equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
-    Mutant("seed range check dropped", "src/qrl/channels.py",
-           "if isinstance(value, bool) or not 0 <= operator.index(value) < 2**64:", "if isinstance(value, bool):",
+    Mutant("seed range check dropped", "src/qrl/channels.py", "lambda v: 0 <= v < 2**64", "lambda v: True",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_a_master_seed_outside_64_bits",)),
-    Mutant("seed rule takes a bool", "src/qrl/channels.py", "isinstance(value, bool) or not 0", "not 0",
+    Mutant("seed rule takes a bool", "src/qrl/channels.py",
+           "not isinstance(value, bool) and", "not (isinstance(value, bool) and kind is float) and",
            ("tests/test_ensemble.py::TestMixSeed::test_takes_numpy_integers_and_refuses_a_bool",)),
     Mutant("mix_seed's index rule dropped", "src/qrl/ensemble.py", '_seed("realization index", index)', "int(index)",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_an_index_outside_64_bits_or_a_bool",)),
     Mutant("run_realization's seed unchecked", "src/qrl/agent.py", '[_seed("seed", seed)]', "[seed]",
            ("tests/test_agent.py::TestRunRealization::test_refuses_a_seed_mix_seed_cannot_return",)),
+    Mutant("run_realization's type check dropped", "src/qrl/agent.py",
+           "    _instances(channel=(channel, Channel), params=(params, AlgorithmParams))\n", "",
+           ("tests/test_agent.py::TestRunRealization::test_refuses_a_seed_mix_seed_cannot_return",)),
+    Mutant("reward range closed at 1", "src/qrl/agent.py", "0.0 < v < 1.0", "0.0 < v <= 1.0",
+           ("tests/test_agent.py::TestAlgorithmParams::test_rejects_bad_reward",)),
+    Mutant("t_dec admits zero", "src/qrl/channels.py", "v > 0.0", "v >= 0.0",
+           ("tests/test_channels.py::TestChannelValidation::test_rejects_bad_t_dec",)),
+    Mutant("a float overflow escapes the rule", "src/qrl/channels.py",
+           "with contextlib.suppress(OverflowError):", "if True:",
+           ("tests/test_channels.py::TestChannelValidation::test_rejects_bad_tau",)),
     Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
            ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
     Mutant("clash check without following links", "src/qrl/cli.py",
@@ -112,8 +122,7 @@ MUTANTS = (
            ("tests/test_cli.py",)),
     Mutant("gc.freeze() dropped from the entry", "src/qrl/cli.py",
            "    gc.freeze()\n    return main()", "    return main()", ("tests/test_cli.py",)),
-    Mutant("a bool taken as a number", "src/qrl/channels.py",
-           "if isinstance(value, bool) or not isinstance(", "if not isinstance(",
+    Mutant("a bool taken as a number", "src/qrl/channels.py", "not isinstance(value, bool) and", "",
            ("tests/test_agent.py::TestAlgorithmParams::test_rejects_a_non_number_when_built",
             "tests/test_channels.py::TestChannelValidation::test_rejects_a_non_number_when_built",
             "tests/test_ensemble.py::TestConfig::test_rejects_a_non_integer_count_when_built")),
