@@ -14,8 +14,7 @@ import os
 # pool never helps, and starting one is about half of numpy's import, which comes next.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .agent import AlgorithmParams, IterationRecord, run_realization
-from .channels import Channel, apply_channel, density_from_pure, hamiltonian_unitary, kraus_pair
-from .channels import measurement_prob_zero
+from .channels import Channel
 from .ensemble import EnsembleConfig, EnsembleStats, mix_seed, run_ensemble
 from .output import emit_csv, emit_svg, read_csv
 
@@ -27,13 +26,8 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleStats",
     "IterationRecord",
-    "apply_channel",
-    "density_from_pure",
     "emit_csv",
     "emit_svg",
-    "hamiltonian_unitary",
-    "kraus_pair",
-    "measurement_prob_zero",
     "mix_seed",
     "read_csv",
     "run_ensemble",

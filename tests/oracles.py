@@ -1,18 +1,25 @@
 """Reference code that the tests use and ``qrl`` does not.
 
-Pauli matrices, single-axis rotations, conjugation, the unitarity and
-density-matrix checks and the random state and gate samplers sit here,
-next to the tests, so that the package exports only what it runs. So does
-the scalar learning loop (``AgentState``, ``step`` and ``run_realization``):
-one realization, one iteration at a time, with P(0) from the density
-matrix through ``measurement_prob_zero``, each kick built from three
-``axis_rotation`` calls and each fidelity read by ``overlap_magnitude``.
-It shares no loop, no rotation and no readout code with
-``qrl.agent.run_lockstep``, the package's one engine, and the tests check
-that engine against it bit for bit. From the package it takes the
+The dense reference physics lives here, so that the package ships only
+what it runs: the projector ``density_from_pure``, the propagator
+``hamiltonian_unitary``, the Kraus pair ``kraus_pair``, the density-matrix
+evolution ``apply_channel`` and the measured probability
+``measurement_prob_zero``. ``qrl`` evaluates P(0) only in closed form
+(``Channel.prob_zero_terms`` and ``pure_prob_zero``); nothing here calls
+that code, so the tests check it against an independent evaluation.
+
+The Pauli matrices, single-axis rotations, conjugation, the unitarity and
+density-matrix checks and the random state and gate samplers live here
+too, and so does the scalar learning loop (``AgentState``, ``step`` and
+``run_realization``): one realization, one iteration at a time, with P(0)
+from the density matrix through ``measurement_prob_zero``, each kick built
+from three ``axis_rotation`` calls and each fidelity read by
+``overlap_magnitude``. It shares no loop, no rotation and no readout code
+with ``qrl.agent.run_lockstep``, the package's one engine, and the tests
+check that engine against it bit for bit. From the package it takes the
 parameters, records and ``IDENTITY`` of ``qrl.agent`` and, from
-``qrl.channels``, the eigenstates, ``ATOL`` and the projector
-``density_from_pure``.
+``qrl.channels``, ``Channel``, the eigenstates and the number rule
+``_number``.
 """
 
 from __future__ import annotations
@@ -23,10 +30,97 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qrl.agent import IDENTITY, AlgorithmParams, IterationRecord
-from qrl.channels import ATOL, EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero
+from qrl.channels import EXCITED, GROUND, Channel, _number
 
+# Entrywise tolerance for invariant checks on directly constructed objects.
+ATOL = 1e-12
 # Looser tolerance for products of several operations.
 ATOL_COMPOSED = 1e-10
+
+
+def density_from_pure(psi: np.ndarray) -> np.ndarray:
+    """Rank-1 projector |psi><psi| of a normalized pure state (or a stack of them)."""
+    psi = np.asarray(psi, dtype=complex)
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
+# The eigenstates' projectors and the eigenbasis-to-computational map.
+_EXCITED_PROJ = density_from_pure(EXCITED)
+_GROUND_PROJ = density_from_pure(GROUND)
+_EIG_TO_COMP = np.column_stack([EXCITED, GROUND])
+for _m in (_EXCITED_PROJ, _GROUND_PROJ, _EIG_TO_COMP):
+    _m.setflags(write=False)
+
+
+def hamiltonian_unitary(tau: float) -> np.ndarray:
+    """Propagator exp(-i H tau) in the computational basis.
+
+    Evaluates exp(-i*tau/2)|e><e| + exp(+i*tau/2)|g><g|; tau is any finite real, 0 included.
+    """
+    phase = np.exp(-0.5j * _number("tau", tau, float, "that is finite", math.isfinite))
+    return phase * _EXCITED_PROJ + phase.conj() * _GROUND_PROJ
+
+
+def kraus_pair(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators (E0, E1) of the channel's noise part.
+
+    For both damping kinds E0 = |g><g| + exp(-tau/t_dec)|e><e|; phase
+    damping has E1 = sqrt(1 - exp(-2 tau/t_dec)) |e><e| while amplitude
+    damping has E1 = sqrt(1 - exp(-2 tau/t_dec)) |g><e|. A noiseless
+    channel returns (I, 0) by convention. The pair always satisfies
+    E0^dag E0 + E1^dag E1 = I.
+    """
+    survive = channel.decay_factor()
+    jump = math.sqrt(1.0 - survive * survive)
+    first = _GROUND_PROJ + survive * _EXCITED_PROJ
+    if channel.kind == "adn":
+        second = jump * np.outer(GROUND, EXCITED.conj())
+    else:
+        # noiseless degenerates to jump = 0 here, i.e. (I, 0)
+        second = jump * _EXCITED_PROJ
+    return first, second
+
+
+def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
+    """Evolve a density matrix through one step of the channel.
+
+    Closed-form evaluation in the energy eigenbasis, an independent target
+    for the Kraus form U(tau) [E0 rho E0^dag + E1 rho E1^dag] U(tau)^dag;
+    assumes ``rho`` is a valid unit-trace density matrix.
+    """
+    rho_eig = _EIG_TO_COMP.conj().T @ rho @ _EIG_TO_COMP
+
+    survive = channel.decay_factor()
+    rotation = np.exp(-1j * channel.tau)
+    off = survive * rotation * rho_eig[0, 1]
+    excited_pop = rho_eig[0, 0].real
+    if channel.kind == "adn":
+        excited_pop *= survive * survive
+        ground_pop = 1.0 - excited_pop
+    else:
+        ground_pop = rho_eig[1, 1].real
+
+    evolved_eig = np.array([[excited_pop, off], [off.conj(), ground_pop]], dtype=complex)
+    return _EIG_TO_COMP @ evolved_eig @ _EIG_TO_COMP.conj().T
+
+
+def measurement_prob_zero(channel: Channel, rho: np.ndarray) -> float:
+    """Probability of outcome 0 when the protocol measures after evolution.
+
+    Returns Tr[rho * apply_channel(channel, rho)], clamped into [0, 1].
+    A raw value outside [-1e-12, 1 + 1e-12] indicates a broken channel or
+    an invalid state and raises instead of being clamped.
+    """
+    evolved = apply_channel(channel, rho)
+    # Tr[rho evolved] as a conjugated elementwise sum; rho is Hermitian.
+    raw = np.vdot(rho, evolved).real
+    if raw < -ATOL or raw > 1.0 + ATOL:
+        raise ValueError(
+            f"measurement probability {raw!r} outside tolerance band; "
+            "channel or input state is invalid"
+        )
+    return min(max(raw, 0.0), 1.0)
+
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -11,19 +11,11 @@ import time
 
 import numpy as np
 
-from oracles import hermitian_eigenvalues, random_density
+from oracles import (apply_channel, density_from_pure, hamiltonian_unitary, hermitian_eigenvalues, kraus_pair,
+                     measurement_prob_zero, random_density)
 from qrl import ensemble, run_realization
 from qrl.agent import IDENTITY, AlgorithmParams, run_lockstep
-from qrl.channels import (
-    EXCITED,
-    GROUND,
-    Channel,
-    apply_channel,
-    density_from_pure,
-    hamiltonian_unitary,
-    kraus_pair,
-    measurement_prob_zero,
-)
+from qrl.channels import EXCITED, GROUND, Channel
 from qrl.cli import main
 from qrl.ensemble import EnsembleConfig, run_ensemble
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from oracles import (ATOL_COMPOSED, AgentState, axis_rotation, is_unitary, overlap_magnitude, pauli,
-                     random_unitary, step)
+from oracles import (ATOL, ATOL_COMPOSED, AgentState, axis_rotation, density_from_pure, is_unitary,
+                     measurement_prob_zero, overlap_magnitude, pauli, random_unitary, step)
 from qrl import agent
 from qrl.agent import (BLOCK, IDENTITY, AlgorithmParams, _BITS, _TARGETS, _readout, _rotation, run_lockstep,
                        run_realization)
-from qrl.channels import ATOL, EXCITED, GROUND, Channel, density_from_pure, measurement_prob_zero
+from qrl.channels import EXCITED, GROUND, Channel
 
 SQRT3_HALF = math.sqrt(3) / 2
 

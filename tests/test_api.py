@@ -30,13 +30,8 @@ def test_public_names_are_pinned():
         "EnsembleConfig",
         "EnsembleStats",
         "IterationRecord",
-        "apply_channel",
-        "density_from_pure",
         "emit_csv",
         "emit_svg",
-        "hamiltonian_unitary",
-        "kraus_pair",
-        "measurement_prob_zero",
         "mix_seed",
         "read_csv",
         "run_ensemble",
@@ -100,6 +95,60 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {path.name: unused_imports(path.read_text()) for path in modules} == {
         path.name: [] for path in modules
     }
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of the public functions and classes a module defines at top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, bare or as an attribute; an import alone reads none."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_reference_check_flags_a_name_only_an_import_mentions():
+    assert public_definitions("def used(): pass\nclass Unused: pass\ndef _hidden(): pass\nx = 1\n") == [
+        "used", "Unused"
+    ]
+    assert referenced_names("from m import Unused\nused()\nm.other = x\n") == {"used", "m", "other", "x"}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # A public function or class that only the tests call belongs in tests/oracles.py.
+    modules = sorted(SRC.glob("*.py"))
+    readers = [*modules, *(ROOT / "demos").glob("*.py")]
+    used = set().union(*(referenced_names(path.read_text()) for path in readers))
+    defined = {name: path.name for path in modules for name in public_definitions(path.read_text())}
+    assert defined
+    assert {name: where for name, where in defined.items() if name not in used} == {}
+
+
+def qrl_imports(source: str) -> list[str]:
+    """Names a module imports from ``qrl``, a whole module by its dotted name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.partition(".")[0] == "qrl"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "qrl":
+            found += [alias.name for alias in node.names]
+    return found
+
+
+def test_qrl_import_check_lists_names_and_modules():
+    source = "import qrl.agent\nimport numpy\nfrom qrl.channels import Channel, pure_prob_zero\nfrom os import sep\n"
+    assert qrl_imports(source) == ["qrl.agent", "Channel", "pure_prob_zero"]
+
+
+def test_the_oracle_takes_no_p_zero_code_from_qrl():
+    # The oracle evaluates P(0) from the density matrix alone, so it catches a fault in the closed form.
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    assert sorted(qrl_imports(source)) == [
+        "AlgorithmParams", "Channel", "EXCITED", "GROUND", "IDENTITY", "IterationRecord", "_number",
+    ]
+    assert {"pure_prob_zero", "prob_zero_terms"}.isdisjoint(referenced_names(source))
 
 
 FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}

@@ -1,3 +1,11 @@
+"""Tests of ``qrl.channels`` and of the dense reference physics in ``tests/oracles.py``.
+
+``TestEnergyBasis``, ``TestChannelValidation`` and ``TestPureProbZero`` test the package's
+eigenstates, ``Channel`` and closed-form P(0); the other classes test the oracle's projector,
+propagator, Kraus pair, density-matrix evolution and measured P(0), which that closed form
+is checked against.
+"""
+
 import math
 
 import numpy as np
@@ -6,21 +14,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qrl.channels import (
+from oracles import (
     ATOL,
-    NOISE_KINDS,
-    EXCITED,
-    GROUND,
-    Channel,
     apply_channel,
     density_from_pure,
     hamiltonian_unitary,
+    is_density_matrix,
     kraus_pair,
     measurement_prob_zero,
-    pure_prob_zero,
+    pauli,
+    random_density,
 )
-from oracles import is_density_matrix, pauli, random_density
 from qrl.agent import IDENTITY, _BITS, _TARGETS, _XYZ
+from qrl.channels import NOISE_KINDS, EXCITED, GROUND, Channel, pure_prob_zero
 
 EXCITED_PROJ = density_from_pure(EXCITED)
 GROUND_PROJ = density_from_pure(GROUND)

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import (
+    ATOL,
     ATOL_COMPOSED,
     axis_rotation,
     conjugate,
@@ -16,7 +17,6 @@ from oracles import (
     random_unitary,
 )
 from qrl.agent import IDENTITY
-from qrl.channels import ATOL
 
 
 class TestPauli:

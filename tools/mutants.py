@@ -53,6 +53,10 @@ MUTANTS = (
     Mutant("coherence factor 2 dropped", "src/qrl/channels.py",
            "2.0 * survive * math.cos(self.tau)", "survive * math.cos(self.tau)",
            ("tests/test_channels.py::TestPureProbZero",)),
+    Mutant("adn survival not squared", "src/qrl/channels.py",
+           "(survive * survive if adn else 1.0)", "(survive if adn else 1.0)", (LOCKSTEP,)),
+    Mutant("adn ground population kept", "src/qrl/channels.py",
+           "np.where(adn, 1.0 - excited_out, ground_pop)", "np.where(adn, ground_pop, ground_pop)", (LOCKSTEP,)),
     Mutant("kick at full angle", "src/qrl/agent.py",
            "half = 0.5 * angles[..., None, None]", "half = angles[..., None, None]",
            ("tests/test_acceptance.py::test_criterion_11_first_kick_matches_quadrature",)),
@@ -105,7 +109,7 @@ MUTANTS = (
     Mutant("t_dec admits zero", "src/qrl/channels.py", "v > 0.0", "v >= 0.0",
            ("tests/test_channels.py::TestChannelValidation::test_rejects_bad_t_dec",)),
     Mutant("a float overflow escapes the rule", "src/qrl/channels.py",
-           "with contextlib.suppress(OverflowError):", "if True:",
+           "except OverflowError:", "except ZeroDivisionError:",
            ("tests/test_channels.py::TestChannelValidation::test_rejects_bad_tau",)),
     Mutant("standard errors need three realizations", "src/qrl/ensemble.py", "if count >= 2:", "if count > 2:",
            ("tests/test_ensemble.py::TestRunEnsemble::test_two_realizations_have_standard_errors",)),
