@@ -97,13 +97,9 @@ class Channel:
         if self.kind == "noiseless":
             object.__setattr__(self, "t_dec", math.inf)
 
-    def decay_factor(self) -> float:
-        """Coherence survival exp(-tau/t_dec) over one evolution step."""
-        return math.exp(-self.tau / self.t_dec)
-
     def prob_zero_terms(self) -> tuple[float, float, bool]:
-        """Coefficients (pe'/pe, 2*s*cos(tau), is adn) of :func:`pure_prob_zero`; s: decay factor."""
-        survive, adn = self.decay_factor(), self.kind == "adn"
+        """Coefficients (pe'/pe, 2*s*cos(tau), is adn) of :func:`pure_prob_zero`; s = exp(-tau/t_dec)."""
+        survive, adn = math.exp(-self.tau / self.t_dec), self.kind == "adn"
         return (survive * survive if adn else 1.0), 2.0 * survive * math.cos(self.tau), adn
 
 

@@ -48,7 +48,7 @@ class SweepFormatError(ValueError):
     """Malformed sweep configuration content."""
 
 
-def _number(text: str) -> float:
+def _real(text: str) -> float:
     """A float, or the token ``2pi`` expanded to full double precision."""
     if text.strip() == "2pi":
         return 2.0 * math.pi
@@ -78,10 +78,10 @@ def _flag(text: str) -> bool:
 # help text and the library field it sets. A key left unset takes the library's default.
 _RUN_KEYS = {
     "noise": (_noise, "none, pdn or adn", "kind"),
-    "ttau": (_number, "dimensionless evolution time; the token 2pi is accepted", "tau"),
-    "tdec": (_number, "dimensionless decoherence time, or inf", "t_dec"),
-    "reward": (_number, "reward rate in (0, 1)", "reward_rate"),
-    "punish": (_number, "punishment rate > 1", "punish_rate"),
+    "ttau": (_real, "dimensionless evolution time; the token 2pi is accepted", "tau"),
+    "tdec": (_real, "dimensionless decoherence time, or inf", "t_dec"),
+    "reward": (_real, "reward rate in (0, 1)", "reward_rate"),
+    "punish": (_real, "punishment rate > 1", "punish_rate"),
     "iters": (int, "iterations per realization", "iterations"),
     "realizations": (int, "number of Monte Carlo realizations", "n_realizations"),
     "seed": (int, "master seed in [0, 2^64)", "master_seed"),

@@ -16,10 +16,13 @@ from the density matrix through ``measurement_prob_zero``, each kick built
 from three ``axis_rotation`` calls and each fidelity read by
 ``overlap_magnitude``. It shares no loop, no rotation and no readout code
 with ``qrl.agent.run_lockstep``, the package's one engine, and the tests
-check that engine against it bit for bit. From the package it takes the
-parameters, records and ``IDENTITY`` of ``qrl.agent`` and, from
-``qrl.channels``, ``Channel``, the eigenstates and the number rule
-``_number``.
+check that engine against it bit for bit. It shares no arithmetic with
+``qrl`` either: it has its own identity ``IDENTITY`` and evaluates the
+damping factor exp(-tau/t_dec) itself from a channel's fields. From the
+package it takes only data and the number rule: the parameters and
+records ``AlgorithmParams`` and ``IterationRecord`` of ``qrl.agent`` and,
+from ``qrl.channels``, ``Channel`` (for its fields, never its methods), the
+eigenstates and ``_number``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qrl.agent import IDENTITY, AlgorithmParams, IterationRecord
+from qrl.agent import AlgorithmParams, IterationRecord
 from qrl.channels import EXCITED, GROUND, Channel, _number
 
+# The oracle's own read-only identity, so that a fault in the engine's ``qrl.agent.IDENTITY`` shows.
+IDENTITY = np.eye(2, dtype=complex)
+IDENTITY.setflags(write=False)
 # Entrywise tolerance for invariant checks on directly constructed objects.
 ATOL = 1e-12
 # Looser tolerance for products of several operations.
@@ -70,7 +76,7 @@ def kraus_pair(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
     channel returns (I, 0) by convention. The pair always satisfies
     E0^dag E0 + E1^dag E1 = I.
     """
-    survive = channel.decay_factor()
+    survive = math.exp(-channel.tau / channel.t_dec)
     jump = math.sqrt(1.0 - survive * survive)
     first = _GROUND_PROJ + survive * _EXCITED_PROJ
     if channel.kind == "adn":
@@ -90,7 +96,7 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """
     rho_eig = _EIG_TO_COMP.conj().T @ rho @ _EIG_TO_COMP
 
-    survive = channel.decay_factor()
+    survive = math.exp(-channel.tau / channel.t_dec)
     rotation = np.exp(-1j * channel.tau)
     off = survive * rotation * rho_eig[0, 1]
     excited_pop = rho_eig[0, 0].real

@@ -143,12 +143,16 @@ def test_qrl_import_check_lists_names_and_modules():
 
 
 def test_the_oracle_takes_no_p_zero_code_from_qrl():
-    # The oracle evaluates P(0) from the density matrix alone, so it catches a fault in the closed form.
+    # The oracle evaluates P(0) from the density matrix alone, with its own identity and damping factor,
+    # so it catches a fault in the closed form or in the engine's constants.
     source = (ROOT / "tests" / "oracles.py").read_text()
     assert sorted(qrl_imports(source)) == [
-        "AlgorithmParams", "Channel", "EXCITED", "GROUND", "IDENTITY", "IterationRecord", "_number",
+        "AlgorithmParams", "Channel", "EXCITED", "GROUND", "IterationRecord", "_number",
     ]
-    assert {"pure_prob_zero", "prob_zero_terms"}.isdisjoint(referenced_names(source))
+    # Taken from the class, so a method added later is forbidden too.
+    methods = {name for name, value in vars(qrl.Channel).items() if callable(value) and not name.startswith("_")}
+    assert "prob_zero_terms" in methods
+    assert {"pure_prob_zero", *methods}.isdisjoint(referenced_names(source))
 
 
 FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}

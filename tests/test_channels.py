@@ -56,8 +56,9 @@ class TestEnergyBasis:
         assert abs(np.linalg.norm(EXCITED) - 1) < 1e-12
 
     def test_states_are_read_only(self):
-        with pytest.raises(ValueError):
-            EXCITED[0] = 9.0
+        for state in (EXCITED, GROUND):
+            with pytest.raises(ValueError):
+                state[0] = 9.0
 
     def test_kick_paulis_are_read_only(self):
         np.testing.assert_array_equal(_XYZ[:, 0], [pauli(axis) for axis in "XYZ"])

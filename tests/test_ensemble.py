@@ -314,6 +314,10 @@ class TestRunEnsembles:
         assert next(results).n_realizations == 9 and len(engine_passes) == 4  # cell 3 in chunks of 4, 4, 1
         assert list(results) == []
 
+    def test_no_cells_yield_nothing_and_run_no_pass(self, engine_passes):
+        assert list(run_ensembles([])) == []
+        assert engine_passes == []
+
 
 class TestDualBasisFidelities:
     def test_identity_components(self):

@@ -128,15 +128,16 @@ class TestEmitCsv:
 
 class TestEmitSvg:
     def test_flat_series_is_horizontal_polyline(self, tmp_path):
+        # A level of 0 has no relative pad, so its axis takes a fixed one.
         path = tmp_path / "flat.svg"
         k = np.arange(1, 11)
-        level = np.full(10, math.sqrt(3) / 2)
-        emit_svg([("flat", k, level)], path)
-        text = path.read_text(encoding="utf-8")
-        polylines = re.findall(r"<polyline[^>]*points=\"([^\"]+)\"", text)
-        assert len(polylines) == 1
-        y_coords = {point.split(",")[1] for point in polylines[0].split()}
-        assert len(y_coords) == 1
+        for value in (math.sqrt(3) / 2, 0.0):
+            emit_svg([("flat", k, np.full(10, value))], path)
+            text = path.read_text(encoding="utf-8")
+            polylines = re.findall(r"<polyline[^>]*points=\"([^\"]+)\"", text)
+            assert len(polylines) == 1
+            y_coords = {point.split(",")[1] for point in polylines[0].split()}
+            assert len(y_coords) == 1
 
     def test_four_series_get_legend_entries(self, tmp_path):
         path = tmp_path / "four.svg"
@@ -169,11 +170,11 @@ class TestEmitSvg:
 
     def test_non_finite_values_write_nothing(self, tmp_path):
         # The document is rendered before the atomic write opens its temporary file.
-        series = [("finite", np.arange(2), np.array([0.5, 0.6])),
-                  ("second", np.arange(2), np.array([0.5, math.nan]))]
-        with pytest.raises(ValueError, match="series 'second' contains non-finite values"):
-            emit_svg(series, tmp_path / "never.svg")
-        assert list(tmp_path.iterdir()) == []
+        for x, y in ((np.arange(2), np.array([0.5, math.nan])), (np.array([0.0, math.nan]), np.array([0.5, 0.6]))):
+            series = [("finite", np.arange(2), np.array([0.5, 0.6])), ("second", x, y)]
+            with pytest.raises(ValueError, match="series 'second' contains non-finite values"):
+                emit_svg(series, tmp_path / "never.svg")
+            assert list(tmp_path.iterdir()) == []
 
     def test_escapes_labels(self):
         buffer = io.StringIO()

@@ -53,10 +53,16 @@ MUTANTS = (
     Mutant("coherence factor 2 dropped", "src/qrl/channels.py",
            "2.0 * survive * math.cos(self.tau)", "survive * math.cos(self.tau)",
            ("tests/test_channels.py::TestPureProbZero",)),
+    Mutant("decay exponent doubled", "src/qrl/channels.py",
+           "math.exp(-self.tau / self.t_dec)", "math.exp(-2.0 * self.tau / self.t_dec)", (LOCKSTEP,)),
+    Mutant("engine identity scaled by 1 + 2**-52", "src/qrl/agent.py",
+           "IDENTITY = np.eye(2, dtype=complex)", "IDENTITY = np.eye(2, dtype=complex) * (1 + 2**-52)", (LOCKSTEP,)),
     Mutant("adn survival not squared", "src/qrl/channels.py",
            "(survive * survive if adn else 1.0)", "(survive if adn else 1.0)", (LOCKSTEP,)),
     Mutant("adn ground population kept", "src/qrl/channels.py",
            "np.where(adn, 1.0 - excited_out, ground_pop)", "np.where(adn, ground_pop, ground_pop)", (LOCKSTEP,)),
+    Mutant("a step without kicks runs the kick branch", "src/qrl/agent.py", "if kicked.size:", "if True:",
+           equivalent="an empty kick set leaves every array unchanged; the branch only saves time"),
     Mutant("kick at full angle", "src/qrl/agent.py",
            "half = 0.5 * angles[..., None, None]", "half = angles[..., None, None]",
            ("tests/test_acceptance.py::test_criterion_11_first_kick_matches_quadrature",)),
@@ -92,6 +98,9 @@ MUTANTS = (
     Mutant("a chunk that fits exactly is closed", "src/qrl/ensemble.py",
            "held + cell_bytes > _CHUNK_BYTES", "held + cell_bytes >= _CHUNK_BYTES",
            equivalent="it moves a chunk boundary only at exact equality, and chunks never change a cell's bytes"),
+    Mutant("no cells run an empty chunk", "src/qrl/ensemble.py",
+           "yield from run(chunk) if chunk else ()", "yield from run(chunk)",
+           ("tests/test_ensemble.py::TestRunEnsembles::test_no_cells_yield_nothing_and_run_no_pass",)),
     Mutant("seed range check dropped", "src/qrl/channels.py", "lambda v: 0 <= v < 2**64", "lambda v: True",
            ("tests/test_ensemble.py::TestMixSeed::test_rejects_a_master_seed_outside_64_bits",)),
     Mutant("seed rule takes a bool", "src/qrl/channels.py",
@@ -130,6 +139,8 @@ MUTANTS = (
            ("tests/test_agent.py::TestAlgorithmParams::test_rejects_a_non_number_when_built",
             "tests/test_channels.py::TestChannelValidation::test_rejects_a_non_number_when_built",
             "tests/test_ensemble.py::TestConfig::test_rejects_a_non_integer_count_when_built")),
+    Mutant("ground state writable", "src/qrl/channels.py", "GROUND.setflags(write=False)\n", "",
+           ("tests/test_channels.py::TestEnergyBasis::test_states_are_read_only",)),
     Mutant("channel kind kept as given", "src/qrl/channels.py",
            '        object.__setattr__(self, "kind", str(self.kind))\n', "",
            ("tests/test_ensemble.py::TestConfig::test_numpy_scalars_are_stored_as_python_values",)),
@@ -150,6 +161,10 @@ MUTANTS = (
             "tests/test_cli.py::TestSweepCommand::test_undecodable_config_names_its_file")),
     Mutant("empty-series check dropped", "src/qrl/output.py", "if len(x) == 0:", "if False:",
            (f"{PLOT}::test_header_only_csv_exits_1_naming_the_series",)),
+    Mutant("non-finite x values let through", "src/qrl/output.py", "np.isfinite(x).all() and ", "",
+           ("tests/test_output.py::TestEmitSvg::test_non_finite_values_write_nothing",)),
+    Mutant("a flat zero series gets no pad", "src/qrl/output.py", "0.5 if lo == 0 else", "0.5 if False else",
+           ("tests/test_output.py::TestEmitSvg::test_flat_series_is_horizontal_polyline",)),
     Mutant("chart's drawable-span check dropped", "src/qrl/output.py", "if not 0 < span < np.inf:", "if False:",
            ("tests/test_output.py::TestEmitSvg::test_refuses_a_range_it_cannot_draw",)),
     Mutant("one tick fewer per axis", "src/qrl/output.py", "for i in range(_TICKS + 1):", "for i in range(_TICKS):",
