@@ -85,14 +85,14 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
     reader = csv.reader(io.StringIO(read_text(path)))
     try:
         header = next(reader)
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]  # a quoted field may span lines
     except StopIteration:
         raise ValueError(f"{path}: empty CSV") from None
     except csv.Error as exc:  # a field over the csv module's size limit
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     parsers = [np.int64 if name == "k" else float for name in header]
     values = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line} has {len(row)} fields, header has {len(header)}")
         try:

@@ -112,7 +112,8 @@ class TestParseArgs:
         assert channel.kind == "noiseless"
 
     def test_two_pi_token_expands_to_double_precision(self):
-        assert parse_args(["run", "--ttau", "2pi"]).config.channel.tau == 2.0 * math.pi
+        for token in ("2pi", " 2pi "):
+            assert parse_args(["run", "--ttau", token]).config.channel.tau == 2.0 * math.pi
 
     @pytest.mark.parametrize(
         "argv",
@@ -131,6 +132,7 @@ class TestParseArgs:
             ["frobnicate"],
             ["run", "--seed", str(2**64)],
             ["run", "--punish", "inf"],
+            [],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -184,6 +186,10 @@ class TestSweepText:
         assert first.channel.kind == "adn" and first.channel.tau == 2 * math.pi and first.channel.t_dec == 1.0
         assert first.params.reward_rate == 0.9  # default fills unset keys
         assert second.dual_basis is True and second_out == "b.csv"
+        for spelling, dual in [("yes", True), ("1", True), ("On", True),
+                               ("false", False), ("no", False), ("0", False), ("OFF", False)]:
+            [(cell, _)] = parse_sweep_text(f"dual_basis = {spelling}\nout = b.csv")
+            assert cell.dual_basis is dual, spelling
 
     @pytest.mark.parametrize(
         "content,message",
@@ -331,7 +337,7 @@ class TestSweepCommand:
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "one.csv").exists() and (out_dir / "two.csv").exists()
-        again = tmp_path / "again"
+        again = tmp_path / "nested" / "again"
         assert main(["sweep", "--config", str(config), "--out-dir", str(again)]) == 0
         assert (again / "one.csv").read_bytes() == (out_dir / "one.csv").read_bytes()
 
@@ -551,11 +557,13 @@ class TestPlotCommand:
 
     def test_ragged_csv_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("k,W\n1,0.5\n2\n")
         out = tmp_path / "x.svg"
-        assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"qrl: {bad}: line 3 has 1 fields, header has 2\n"
-        assert not out.exists()
+        # The second row follows a quoted field that spans lines 2 to 4.
+        for text, line, fields in [("k,W\n1,0.5\n2\n", 3, 1), ('k,W\n1,"0.5\n\n"\n2,0.4,9\n', 5, 3)]:
+            bad.write_text(text)
+            assert main(["plot", "--csv", str(bad), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"qrl: {bad}: line {line} has {fields} fields, header has 2\n"
+            assert not out.exists()
 
     def test_undecodable_csv_names_its_file(self, tmp_path, csv_files, capsys):
         # With several inputs, only the path says which one is bad.
@@ -600,8 +608,9 @@ class TestPlotCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, line", [("k,W\n1,0.5\n100000000000000000000000000000,0.6\n", 3),
-                                            ("k,W\n1," + "5" * 131073 + "\n", 2)],
-                             ids=["k-outside-int64", "field-over-the-csv-limit"])
+                                            ("k,W\n1," + "5" * 131073 + "\n", 2),
+                                            ('k,W\n1,"0.5\n"\nx,0.3\n', 4)],
+                             ids=["k-outside-int64", "field-over-the-csv-limit", "row-after-a-quoted-line-break"])
     def test_unreadable_field_names_path_and_line(self, text, line, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -718,12 +727,6 @@ class TestCheckedInSweeps:
         assert ("noiseless", 1.0, math.inf) in grid
         assert ("noiseless", round(2 * math.pi, 9), math.inf) in grid
         assert len({out for _, out in cells}) == 14
-
-    def test_fig2_covers_tau_one(self):
-        cells = parse_sweep_text((FIGS_DIR / "fig2.sweep").read_text())
-        assert len(cells) == 7
-        assert all(c.channel.tau == 1.0 for c, _ in cells)
-        assert {c.channel.kind for c, _ in cells} == {"pdn", "adn", "noiseless"}
 
     def test_fig3_is_dual_basis_adn(self):
         cells = parse_sweep_text((FIGS_DIR / "fig3.sweep").read_text())

@@ -128,16 +128,19 @@ class TestEmitCsv:
 
 class TestEmitSvg:
     def test_flat_series_is_horizontal_polyline(self, tmp_path):
-        # A level of 0 has no relative pad, so its axis takes a fixed one.
+        # A flat level is padded by a tenth of itself; a level of 0 has no relative pad, so takes a fixed one.
         path = tmp_path / "flat.svg"
         k = np.arange(1, 11)
-        for value in (math.sqrt(3) / 2, 0.0):
+        levels = [(math.sqrt(3) / 2, ("0.779423", "0.952628")), (0.0, ("-0.5", "0.5")), (5.0, ("4.5", "5.5"))]
+        for value, ends in levels:
             emit_svg([("flat", k, np.full(10, value))], path)
             text = path.read_text(encoding="utf-8")
             polylines = re.findall(r"<polyline[^>]*points=\"([^\"]+)\"", text)
             assert len(polylines) == 1
             y_coords = {point.split(",")[1] for point in polylines[0].split()}
             assert len(y_coords) == 1
+            y_ticks = re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]+)<', text)
+            assert (y_ticks[0], y_ticks[-1]) == ends
 
     def test_four_series_get_legend_entries(self, tmp_path):
         path = tmp_path / "four.svg"

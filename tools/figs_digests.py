@@ -1,9 +1,8 @@
-"""Check that the three ``figs/*.sweep`` configs still write the frozen CSV bytes.
+"""Check that the two ``figs/*.sweep`` configs still write the frozen CSV bytes.
 
-Runs ``figs/fig1.sweep``, ``fig2.sweep`` and ``fig3.sweep`` with this
-checkout's ``src`` into a temporary directory and compares each CSV's
-SHA-256 with the table in ``figs_digests.json`` next to this file. Run from
-anywhere:
+Runs ``figs/fig1.sweep`` and ``fig3.sweep`` with this checkout's ``src``
+into a temporary directory and compares each CSV's SHA-256 with the table in
+``figs_digests.json`` next to this file. Run from anywhere:
 
     python tools/figs_digests.py            # exit 1 when any CSV differs
     python tools/figs_digests.py --freeze   # rewrite the table from this checkout
@@ -25,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).with_name("figs_digests.json")
-SWEEPS = ("fig1", "fig2", "fig3")
+SWEEPS = ("fig1", "fig3")
 
 
 def run_sweeps(out_dir: Path) -> dict[str, str]:

@@ -152,6 +152,18 @@ MUTANTS = (
            ("tests/test_cli.py::TestSweepCommand",)),
     Mutant("sweep lines split at every line boundary", "src/qrl/cli.py", 'text.split("\\n")', "text.splitlines()",
            ("tests/test_cli.py::TestSweepText",)),
+    Mutant("no subcommand let through", "src/qrl/cli.py",
+           'add_subparsers(dest="command", required=True)', 'add_subparsers(dest="command")',
+           ("tests/test_cli.py::TestParseArgs::test_usage_errors_exit_2",)),
+    Mutant("flag spelling on refused", "src/qrl/cli.py", '("true", "yes", "1", "on")', '("true", "yes", "1")',
+           ("tests/test_cli.py::TestSweepText::test_blocks_comments_and_defaults",)),
+    Mutant("flag spelling off refused", "src/qrl/cli.py", '("false", "no", "0", "off")', '("false", "no", "0")',
+           ("tests/test_cli.py::TestSweepText::test_blocks_comments_and_defaults",)),
+    Mutant("nested --out-dir not created", "src/qrl/cli.py",
+           "base.mkdir(parents=True, exist_ok=True)", "base.mkdir(exist_ok=True)",
+           ("tests/test_cli.py::TestSweepCommand::test_runs_all_blocks",)),
+    Mutant("2pi token with spaces refused", "src/qrl/cli.py", 'if text.strip() == "2pi":', 'if text == "2pi":',
+           ("tests/test_cli.py::TestParseArgs::test_two_pi_token_expands_to_double_precision",)),
     Mutant("byte-order mark kept by read_text", "src/qrl/output.py",
            'encoding="utf-8-sig") as', 'encoding="utf-8") as',
            (f"{PLOT}::test_config_and_csv_with_a_byte_order_mark",)),
@@ -163,6 +175,8 @@ MUTANTS = (
            (f"{PLOT}::test_header_only_csv_exits_1_naming_the_series",)),
     Mutant("non-finite x values let through", "src/qrl/output.py", "np.isfinite(x).all() and ", "",
            ("tests/test_output.py::TestEmitSvg::test_non_finite_values_write_nothing",)),
+    Mutant("a flat series padded by a fifth", "src/qrl/output.py", "abs(lo) * 0.1", "abs(lo) * 0.2",
+           ("tests/test_output.py::TestEmitSvg::test_flat_series_is_horizontal_polyline",)),
     Mutant("a flat zero series gets no pad", "src/qrl/output.py", "0.5 if lo == 0 else", "0.5 if False else",
            ("tests/test_output.py::TestEmitSvg::test_flat_series_is_horizontal_polyline",)),
     Mutant("chart's drawable-span check dropped", "src/qrl/output.py", "if not 0 < span < np.inf:", "if False:",
@@ -172,6 +186,12 @@ MUTANTS = (
     Mutant("csv.Error left uncaught by read_csv", "src/qrl/output.py",
            "    except csv.Error as exc:", "    except ZeroDivisionError as exc:",
            (f"{PLOT}::test_unreadable_field_names_path_and_line",)),
+    Mutant("read_csv numbers one row per line", "src/qrl/output.py",
+           "    for line, row in rows:", "    for line, (_, row) in enumerate(rows, start=2):",
+           (f"{PLOT}::test_unreadable_field_names_path_and_line", f"{PLOT}::test_ragged_csv_exits_1")),
+    Mutant("file written without newline=''", "src/qrl/output.py",
+           'encoding="utf-8", newline="") as', 'encoding="utf-8") as',
+           equivalent="text mode writes '\\n' as os.linesep, which is '\\n' on Linux and macOS; only Windows differs"),
 )
 
 
