@@ -103,6 +103,8 @@ class _RunningMoments:
     index order block by block of iterations gives the bits of adding
     whole trajectories. The mean is exact when all added vectors are
     equal, which keeps constant ensembles (e.g. the degenerate time) exact.
+    Each scatter term multiplies two factors of one sign (rounding never
+    carries the new mean past the value), so the scatter is never negative.
     """
 
     def __init__(self, columns: int, length: int):
@@ -124,7 +126,7 @@ class _RunningMoments:
     def stats(self, count: int) -> EnsembleStats:
         errors = np.zeros_like(self.mean)
         if count >= 2:
-            errors = np.sqrt(np.maximum(self._m2, 0.0) / (count - 1) / count)
+            errors = np.sqrt(self._m2 / (count - 1) / count)
         # EnsembleStats field order: means, then errors, of w, f_e, f_g, f_max; then the *_b1 pair.
         return EnsembleStats(count, *self.mean[:4], *errors[:4], *self.mean[4:], *errors[4:])
 

@@ -85,7 +85,9 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
     reader = csv.reader(io.StringIO(read_text(path)))
     try:
         header = next(reader)
-        rows = [(reader.line_num, row) for row in reader]  # a quoted field may span lines
+        # A quoted field may span lines: zip reads the line count before each row, so a row
+        # is numbered by the line it starts on.
+        rows = list(zip(iter(lambda: reader.line_num + 1, None), reader))
     except StopIteration:
         raise ValueError(f"{path}: empty CSV") from None
     except csv.Error as exc:  # a field over the csv module's size limit

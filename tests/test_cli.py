@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import io
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -56,6 +58,13 @@ def format_sweep(cells):
         f"dual_basis = {cfg.dual_basis}\nout = {out}\n"
         for cfg, out in cells
     )
+
+
+def plot_commands(text):
+    """The ``qrl plot`` commands in the comment lines of a sweep config, each split into its arguments."""
+    comments = "\n".join(line[1:] for line in text.splitlines() if line.startswith("#"))
+    return [shlex.split(command) for command in comments.replace("\\\n", " ").splitlines()
+            if command.strip().startswith("qrl plot")]
 
 
 names = st.text("abcxyz019_-", min_size=1, max_size=8)
@@ -373,7 +382,7 @@ class TestSweepCommand:
         self.check_blocks_match_run_command(tmp_path, blocks, iters=10)
 
     def test_mixed_basis_figure_blocks_make_one_engine_run(self, tmp_path, engine_passes):
-        # Narrow fig1-style single-basis blocks, then fig3-style dual-basis ones.
+        # Narrow single-basis blocks, then dual-basis ones like figure 3's.
         blocks = [{"noise": "pdn", "ttau": "1", "tdec": "10"}, {"noise": "adn", "ttau": "2pi", "tdec": "1"},
                   {"noise": "none", "ttau": "2pi"}, {"noise": "adn", "ttau": "1", "tdec": "1", "dual_basis": "true"},
                   {"noise": "none", "ttau": "1", "dual_basis": "true"}]
@@ -590,6 +599,14 @@ class TestPlotCommand:
         assert "series 'empty' is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_csv_exits_1_naming_its_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(empty), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qrl: {empty}: empty CSV\n"
+        assert not out.exists()
+
     def test_csv_without_k_column_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "nok.csv"
         bad.write_text("W,F_max\n0.5,0.9\n")
@@ -609,8 +626,10 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("text, line", [("k,W\n1,0.5\n100000000000000000000000000000,0.6\n", 3),
                                             ("k,W\n1," + "5" * 131073 + "\n", 2),
-                                            ('k,W\n1,"0.5\n"\nx,0.3\n', 4)],
-                             ids=["k-outside-int64", "field-over-the-csv-limit", "row-after-a-quoted-line-break"])
+                                            ('k,W\n1,"0.5\n"\nx,0.3\n', 4),
+                                            ('k,W\n1,"0\n.\n5"\n', 2)],
+                             ids=["k-outside-int64", "field-over-the-csv-limit", "row-after-a-quoted-line-break",
+                                  "field-with-line-breaks"])
     def test_unreadable_field_names_path_and_line(self, text, line, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -727,9 +746,24 @@ class TestCheckedInSweeps:
         assert ("noiseless", 1.0, math.inf) in grid
         assert ("noiseless", round(2 * math.pi, 9), math.inf) in grid
         assert len({out for _, out in cells}) == 14
+        # Figure 3 reads the flipped-bit columns of the adn and noiseless ttau = 1 cells.
+        dual = {(c.channel.kind, round(c.channel.tau, 9), c.channel.t_dec) for c, _ in cells if c.dual_basis}
+        assert dual == {("adn", 1.0, 1.0), ("adn", 1.0, 10.0), ("adn", 1.0, 100.0), ("noiseless", 1.0, math.inf)}
 
-    def test_fig3_is_dual_basis_adn(self):
-        cells = parse_sweep_text((FIGS_DIR / "fig3.sweep").read_text())
-        assert len(cells) == 4
-        assert all(c.dual_basis for c, _ in cells)
-        assert {c.channel.t_dec for c, _ in cells if c.channel.kind == "adn"} == {1.0, 10.0, 100.0}
+    def test_fig1_plot_commands_draw_from_its_csvs(self, tmp_path, monkeypatch):
+        text = (FIGS_DIR / "fig1.sweep").read_text()
+        small = [(dataclasses.replace(cfg, n_realizations=2, params=dataclasses.replace(cfg.params, iterations=2)),
+                  out) for cfg, out in parse_sweep_text(text)]
+        config = tmp_path / "small.sweep"
+        config.write_text(format_sweep(small))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(config), "--out-dir", "out"]) == 0
+        commands = plot_commands(text)
+        assert len(commands) == 6  # one figure 1 panel, four figure 2 charts, figure 3
+        for argv in commands:
+            args = []
+            for arg in argv[2:]:
+                matches = sorted(map(str, Path().glob(arg))) if arg.startswith("out/") else [arg]
+                assert matches, arg
+                args += matches
+            assert main(["plot", *args]) == 0, argv

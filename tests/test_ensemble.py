@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import overlap_magnitude
 from qrl import ensemble, run_realization
@@ -192,6 +194,20 @@ class TestRunEnsemble:
     def test_plain_run_has_no_dual_columns(self):
         stats = run_ensemble(small_config(n=5, iters=10))
         assert stats.f_e_b1 is None and stats.se_f_g_b1 is None
+
+
+class TestRunningMoments:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.floats(-1.0, 1.0), ulps=st.lists(st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+                                                    min_size=2, max_size=30), split=st.integers(0, 30))
+    def test_scatter_of_nearly_equal_values_is_never_negative(self, base, ulps, split):
+        # Values a few ulps apart: the case where a rounded mean could overshoot a value.
+        block = (base + np.array(ulps) * np.spacing(base)).reshape(len(ulps), 2, 3)  # (n, columns, b)
+        moments = ensemble._RunningMoments(2, 3)
+        split = min(split, len(ulps))
+        moments.add_block(0, 0, block[:split])
+        moments.add_block(split, 0, block[split:])
+        assert np.all(moments._m2 >= 0) and not np.signbit(moments._m2).any()
 
 
 def raw_bytes(stats):

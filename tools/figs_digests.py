@@ -1,7 +1,7 @@
-"""Check that the two ``figs/*.sweep`` configs still write the frozen CSV bytes.
+"""Check that ``figs/fig1.sweep`` still writes the frozen CSV bytes.
 
-Runs ``figs/fig1.sweep`` and ``fig3.sweep`` with this checkout's ``src``
-into a temporary directory and compares each CSV's SHA-256 with the table in
+Runs ``figs/fig1.sweep`` with this checkout's ``src`` into a temporary
+directory and compares each CSV's SHA-256 with the table in
 ``figs_digests.json`` next to this file. Run from anywhere:
 
     python tools/figs_digests.py            # exit 1 when any CSV differs
@@ -24,17 +24,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).with_name("figs_digests.json")
-SWEEPS = ("fig1", "fig3")
+CONFIG = ROOT / "figs" / "fig1.sweep"
 
 
 def run_sweeps(out_dir: Path) -> dict[str, str]:
-    """SHA-256 of each CSV the figs sweeps write into ``out_dir``, by file name."""
+    """SHA-256 of each CSV the figs sweep writes into ``out_dir``, by file name."""
     search = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(search))
-    for name in SWEEPS:
-        config = ROOT / "figs" / f"{name}.sweep"
-        subprocess.run([sys.executable, "-m", "qrl.cli", "sweep", "--config", str(config), "--out-dir", str(out_dir)],
-                       env=env, check=True)
+    subprocess.run([sys.executable, "-m", "qrl.cli", "sweep", "--config", str(CONFIG), "--out-dir", str(out_dir)],
+                   env=env, check=True)
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out_dir.glob("*.csv"))}
 
 

@@ -189,6 +189,15 @@ MUTANTS = (
     Mutant("read_csv numbers one row per line", "src/qrl/output.py",
            "    for line, row in rows:", "    for line, (_, row) in enumerate(rows, start=2):",
            (f"{PLOT}::test_unreadable_field_names_path_and_line", f"{PLOT}::test_ragged_csv_exits_1")),
+    Mutant("read_csv numbers a row by its last line", "src/qrl/output.py",
+           "rows = list(zip(iter(lambda: reader.line_num + 1, None), reader))",
+           "rows = [(reader.line_num, row) for row in reader]",
+           (f"{PLOT}::test_unreadable_field_names_path_and_line",)),
+    Mutant("empty CSV without the path", "src/qrl/output.py",
+           'raise ValueError(f"{path}: empty CSV")', 'raise ValueError("empty CSV")',
+           (f"{PLOT}::test_empty_csv_exits_1_naming_its_file",)),
+    Mutant("a fig1 ttau = 1 adn block without dual_basis", "figs/fig1.sweep",
+           "dual_basis = true\nseed = 7\n", "seed = 7\n", ("tests/test_cli.py::TestCheckedInSweeps",)),
     Mutant("file written without newline=''", "src/qrl/output.py",
            'encoding="utf-8", newline="") as', 'encoding="utf-8") as',
            equivalent="text mode writes '\\n' as os.linesep, which is '\\n' on Linux and macOS; only Windows differs"),

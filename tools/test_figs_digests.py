@@ -9,7 +9,7 @@ import figs_digests
 
 @pytest.fixture(scope="module")
 def current(tmp_path_factory):
-    """Digests of one run of the two figs sweeps."""
+    """Digests of one run of the figs sweep."""
     return figs_digests.run_sweeps(tmp_path_factory.mktemp("figs"))
 
 
@@ -24,7 +24,7 @@ def table(tmp_path, monkeypatch, current):
 
 def test_figs_match_the_frozen_table(current):
     frozen = json.loads(figs_digests.TABLE.read_text())
-    assert len(frozen) == 18
+    assert len(frozen) == 14
     assert figs_digests.mismatches(frozen, current) == []
 
 
@@ -32,7 +32,7 @@ def test_freeze_then_check_passes(table, current, capsys):
     assert figs_digests.main(["--freeze"]) == 0
     assert json.loads(table.read_text()) == current
     assert figs_digests.main([]) == 0
-    assert capsys.readouterr().out.endswith("18 of 18 CSVs equal to the frozen table\n")
+    assert capsys.readouterr().out.endswith("14 of 14 CSVs equal to the frozen table\n")
 
 
 def test_one_changed_digest_fails_the_check(table, current, capsys):
@@ -41,7 +41,7 @@ def test_one_changed_digest_fails_the_check(table, current, capsys):
     assert figs_digests.main([]) == 1
     out = capsys.readouterr().out
     assert out.startswith(f"differs: {name}: frozen {'0' * 64}, now {current[name]}\n")
-    assert out.endswith("17 of 18 CSVs equal to the frozen table\n")
+    assert out.endswith("13 of 14 CSVs equal to the frozen table\n")
 
 
 def test_a_missing_or_extra_csv_fails_the_check(current):
